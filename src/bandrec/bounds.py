@@ -2,7 +2,8 @@
 
 Both bounds scan every node's cumulative neighbourhood sizes: a node with
 many nodes within distance d forces large label gaps no matter how it is
-placed. One BFS per node gives O(mn) time and O(n) auxiliary space. For a
+placed. One bitmask BFS per node ORs each reachable node's mask once, so
+the sweep costs O(n^2) big-integer operations and O(n) auxiliary space. For a
 disconnected graph the scan is confined to each node's own component, which
 keeps both quantities valid lower bounds on the overall bandwidth.
 """
@@ -26,22 +27,9 @@ class BandwidthBounds:
         return max(self.alpha, self.gamma)
 
 
-def _node_growth(g: Graph, v: int) -> tuple[int, int]:
-    # (max_d ceil(|N_d|/2d), max_d ceil(|N_d|/d)); (0, 0) for isolated nodes.
-    a = c = 0
-    for d, size in enumerate(bfs_layers(g, v), start=1):
-        ratio_a = -(-size // (2 * d))
-        ratio_c = -(-size // d)
-        if ratio_a > a:
-            a = ratio_a
-        if ratio_c > c:
-            c = ratio_c
-    return a, c
-
-
 def alpha_bound(g: Graph) -> int:
     """Max over nodes of the halved neighbourhood-growth ratio."""
-    return max(_node_growth(g, v)[0] for v in range(g.n))
+    return bandwidth_bounds(g).alpha
 
 
 def gamma_bound(g: Graph) -> int:
@@ -49,18 +37,27 @@ def gamma_bound(g: Graph) -> int:
 
     Any isolated node drives this to 0 (its inner maximum is empty).
     """
-    return min(_node_growth(g, v)[1] for v in range(g.n))
+    return bandwidth_bounds(g).gamma
 
 
 def bandwidth_bounds(g: Graph) -> BandwidthBounds:
-    """Compute both bounds in a single sweep over the nodes."""
-    alpha = 0
-    gamma: int | None = None
+    """Compute both bounds in a single sweep over the nodes.
+
+    Per node ``v`` the sweep takes ``c_v = max_d ceil(|N_d(v)| / d)``. Since
+    ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling is
+    monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
+    ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``.
+    """
+    high = 0
+    low = g.n  # above every c_v, which is at most n-1
     for v in range(g.n):
-        a, c = _node_growth(g, v)
-        if a > alpha:
-            alpha = a
-        if gamma is None or c < gamma:
-            gamma = c
-    assert gamma is not None
-    return BandwidthBounds(alpha, gamma)
+        c = 0
+        for d, size in enumerate(bfs_layers(g, v), start=1):
+            ratio = -(-size // d)
+            if ratio > c:
+                c = ratio
+        if c > high:
+            high = c
+        if c < low:
+            low = c
+    return BandwidthBounds(-(-high // 2), low)

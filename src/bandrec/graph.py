@@ -2,18 +2,27 @@
 
 Nodes are dense integers ``0..n-1``; any external labelling must be resolved
 before construction. Graphs are undirected, simple (no self-loops), and
-immutable once built. Adjacency is kept in two forms matching the two access
-patterns downstream: per-node bitmasks for constant-time edge queries, and
-sorted neighbour lists for breadth-first traversals.
+immutable once built. Adjacency is kept in one form, per-node bitmasks:
+edge queries test one bit, and breadth-first traversals grow a frontier by
+OR-ing the masks of its nodes, so neighbour lists and degrees are derived
+from the masks rather than stored beside them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+
+
+def _bits(mask: int) -> Iterator[int]:
+    # Indices of the set bits of ``mask``, ascending.
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -25,21 +34,27 @@ class Graph:
         Node count, at least 1. The empty graph on zero nodes is rejected
         because its bandwidth is undefined.
     edges:
-        Iterable of node pairs. Pairs are normalised to ``u < v`` and
-        de-duplicated; self-loops and out-of-range endpoints raise
-        ``ValueError``.
+        Iterable of node pairs. Endpoints are coerced to ``int`` with
+        ``operator.index`` (``bool`` raises ``TypeError``). Pairs are
+        normalised to ``u < v`` and de-duplicated; self-loops and
+        out-of-range endpoints raise ``ValueError``.
 
-    Instances are immutable and safe to share across threads.
+    The per-node bitmasks (:attr:`neighbor_masks`) are the only stored
+    adjacency; :meth:`neighbors` and :meth:`degree` read them. Instances are
+    immutable and safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "_neighbors", "_masks")
+    __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if n < 1:
             raise ValueError("graph needs at least one node (bandwidth of the empty graph is undefined)")
+        index = operator.index
         normalized = set()
-        for pair in edges:
-            u, v = pair
+        for u, v in edges:
+            if type(u) is bool or type(v) is bool:
+                raise TypeError(f"edge ({u!r}, {v!r}): node ids must be integers, not bool")
+            u, v = index(u), index(v)
             if u == v:
                 raise ValueError(f"self-loop on node {u} is not allowed")
             if not (0 <= u < n and 0 <= v < n):
@@ -47,17 +62,13 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
 
         masks = [0] * n
-        neighbors: list[list[int]] = [[] for _ in range(n)]
         for u, v in normalized:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-            neighbors[u].append(v)
-            neighbors[v].append(u)
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(normalized)))
         object.__setattr__(self, "_masks", tuple(masks))
-        object.__setattr__(self, "_neighbors", tuple(tuple(sorted(ns)) for ns in neighbors))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -78,10 +89,10 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted neighbours of ``v``."""
-        return self._neighbors[v]
+        return tuple(_bits(self._masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._neighbors[v])
+        return self._masks[v].bit_count()
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense boolean adjacency matrix (symmetric, zero diagonal)."""
@@ -216,25 +227,41 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
     return best
 
 
+def _frontier_walk(g: Graph, source: int) -> Iterator[int]:
+    # Breadth-first layers from ``source`` as bitmasks: layer d holds the
+    # nodes at distance exactly d, for d = 1 up to the source's eccentricity.
+    # The set-bit loop is inlined rather than using _bits: this is the
+    # bounds sweep's inner loop, and the generator costs it about a fifth.
+    masks = g.neighbor_masks
+    seen = frontier = 1 << source
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        if not frontier:
+            return
+        seen |= frontier
+        yield frontier
+
+
 def connected_components(g: Graph) -> ComponentDecomposition:
     """BFS partition into connected components, ordered by smallest node id."""
     component_of = [-1] * g.n
     components: list[tuple[int, ...]] = []
-    for start in range(g.n):
-        if component_of[start] != -1:
-            continue
-        idx = len(components)
-        component_of[start] = idx
-        queue = deque([start])
-        seen = [start]
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if component_of[w] == -1:
-                    component_of[w] = idx
-                    seen.append(w)
-                    queue.append(w)
-        components.append(tuple(sorted(seen)))
+    unassigned = (1 << g.n) - 1
+    while unassigned:
+        start = (unassigned & -unassigned).bit_length() - 1
+        member = 1 << start
+        for layer in _frontier_walk(g, start):
+            member |= layer
+        unassigned ^= member
+        nodes = tuple(_bits(member))
+        for v in nodes:
+            component_of[v] = len(components)
+        components.append(nodes)
     return ComponentDecomposition(tuple(components), tuple(component_of))
 
 
@@ -245,24 +272,12 @@ def bfs_layers(g: Graph, source: int) -> list[int]:
     ``source`` (the source itself is excluded), for ``d`` up to the source's
     eccentricity within its component. Isolated sources yield ``[]``.
     """
+    source = operator.index(source)
     if not (0 <= source < g.n):
         raise ValueError(f"source {source} out of range for n={g.n}")
-    dist = [-1] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    per_distance: list[int] = []
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if dist[w] == -1:
-                dist[w] = dist[u] + 1
-                if dist[w] > len(per_distance):
-                    per_distance.append(0)
-                per_distance[dist[w] - 1] += 1
-                queue.append(w)
     cumulative: list[int] = []
     total = 0
-    for count in per_distance:
-        total += count
+    for layer in _frontier_walk(g, source):
+        total += layer.bit_count()
         cumulative.append(total)
     return cumulative

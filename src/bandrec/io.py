@@ -8,11 +8,16 @@ writing a parsed canonical file reproduces it byte for byte.
 from __future__ import annotations
 
 import os
+import re
 from typing import Union
 
 from .graph import Graph
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+# ASCII decimal only: int() would also take "+1", "1_0", non-ASCII digits and
+# surrounding whitespace such as a CR. The sign stays so "-1" gets its range message.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class GraphParseError(ValueError):
@@ -33,10 +38,9 @@ def parse_graph_text(text: str) -> Graph:
     header = lines[0].split(" ")
     if len(header) != 2:
         raise GraphParseError(1, f"expected header 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
-        raise GraphParseError(1, f"expected integer header 'n m', got {lines[0]!r}") from None
+    if not all(_INTEGER.fullmatch(field) for field in header):
+        raise GraphParseError(1, f"expected integer header 'n m', got {lines[0]!r}")
+    n, m = int(header[0]), int(header[1])
     if n < 1:
         raise GraphParseError(1, f"node count must be at least 1, got {n}")
     if m < 0:
@@ -52,10 +56,9 @@ def parse_graph_text(text: str) -> Graph:
         fields = line.split(" ")
         if len(fields) != 2:
             raise GraphParseError(line_no, f"expected 'u v', got {line!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphParseError(line_no, f"expected two integers, got {line!r}") from None
+        if not all(_INTEGER.fullmatch(field) for field in fields):
+            raise GraphParseError(line_no, f"expected two integers, got {line!r}")
+        u, v = int(fields[0]), int(fields[1])
         if u == v:
             raise GraphParseError(line_no, f"self-loop on node {u}")
         if not u < v:

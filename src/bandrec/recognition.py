@@ -233,5 +233,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     for piece in pieces:
         inverse.extend(piece)
     certificate = Layout.from_inverse(inverse)
-    assert layout_bandwidth(g, certificate) <= k
+    # An explicit check, not an assert, so the certificate is re-checked under -O too.
+    if layout_bandwidth(g, certificate) > k:
+        raise RuntimeError(f"certificate has bandwidth above k={k}; this should be unreachable")
     return RecognitionResult(True, certificate)

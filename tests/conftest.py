@@ -23,6 +23,26 @@ def all_graphs(n: int):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
 
 
+def distances_by_scan(g: Graph) -> list[list[float]]:
+    """All-pairs hop distances (``inf`` across components) by Floyd-Warshall
+    over an explicit matrix, independent of the BFS under test."""
+    inf = float("inf")
+    n = g.n
+    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
+    for u, v in g.edges:
+        d[u][v] = d[v][u] = 1
+    for m in range(n):
+        for i in range(n):
+            dim = d[i][m]
+            if dim == inf:
+                continue
+            row = d[m]
+            for j in range(n):
+                if dim + row[j] < d[i][j]:
+                    d[i][j] = dim + row[j]
+    return d
+
+
 def regime_ks(n: int) -> range:
     """Every k the recognizer searches at size n: floor((n-1)/2) .. n-2."""
     return range((n - 1) // 2, max((n - 1) // 2, n - 1))

@@ -11,26 +11,7 @@ from bandrec.families import (
     path_graph,
 )
 from bandrec.graph import Graph
-from conftest import all_graphs, random_graph
-
-
-def distances_by_scan(g):
-    # Independent of bfs_layers: Floyd-Warshall over an explicit matrix.
-    inf = float("inf")
-    n = g.n
-    d = [[0 if i == j else inf for j in range(n)] for i in range(n)]
-    for u, v in g.edges:
-        d[u][v] = d[v][u] = 1
-    for m in range(n):
-        for i in range(n):
-            dim = d[i][m]
-            if dim == inf:
-                continue
-            row = d[m]
-            for j in range(n):
-                if dim + row[j] < d[i][j]:
-                    d[i][j] = dim + row[j]
-    return d
+from conftest import all_graphs, distances_by_scan, random_graph
 
 
 def bounds_by_definition(g):

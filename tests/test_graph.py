@@ -1,5 +1,6 @@
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from bandrec.graph import (
     connected_components,
     layout_bandwidth,
 )
+from conftest import distances_by_scan
 
 
 @st.composite
@@ -43,6 +45,20 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="out of range"):
             Graph(3, [(0, 3)])
 
+    def test_numpy_endpoints_coerced(self):
+        # 1 << np.int64(70) overflows, so an uncoerced endpoint would set no mask bit.
+        g = Graph(100, [(np.int64(0), np.int64(70))])
+        assert g.adjacent(0, 70) and g.adjacent(70, 0)
+        assert g.edges == ((0, 70),)
+        assert all(type(x) is int for x in g.edges[0])
+        decomp = connected_components(g)
+        assert decomp.component_of[0] == decomp.component_of[70]
+        assert bfs_layers(g, np.int64(70)) == [1]
+
+    def test_rejects_bool_endpoint(self):
+        with pytest.raises(TypeError, match="bool"):
+            Graph(3, [(True, 2)])
+
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
@@ -54,6 +70,10 @@ class TestGraphConstruction:
             for v in range(g.n):
                 assert g.adjacent(u, v) == g.adjacent(v, u)
                 assert g.adjacent(u, v) == (((min(u, v), max(u, v)) in set(g.edges)) and u != v)
+        for v in range(g.n):
+            listed = sorted({w for edge in g.edges if v in edge for w in edge} - {v})
+            assert g.neighbors(v) == tuple(listed)
+            assert g.degree(v) == len(listed)
 
     def test_adjacency_matrix_matches_masks(self):
         g = Graph(5, [(0, 1), (1, 4), (2, 3)])
@@ -176,3 +196,12 @@ class TestBfsLayers:
                 assert layers == []
             else:
                 assert layers[-1] == component_size - 1
+
+    @given(graphs())
+    def test_matches_distance_matrix(self, g):
+        dist = distances_by_scan(g)
+        for v in range(g.n):
+            finite = [d for d in dist[v] if 0 < d < float("inf")]
+            ecc = max(finite, default=0)
+            expected = [sum(1 for d in finite if d <= r) for r in range(1, ecc + 1)]
+            assert bfs_layers(g, v) == expected

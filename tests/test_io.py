@@ -56,6 +56,14 @@ def test_edgeless():
         ("3 2\n0 1\n", 2, "2 edges"),
         ("3 1\n0 1\n1 2\n", 3, "1 edges"),
         ("3 1\n0 1 2\n", 2, "expected 'u v'"),
+        ("+3 0\n", 1, "integer header"),
+        ("1_0 0\n", 1, "integer header"),
+        ("\uff13 0\n", 1, "integer header"),
+        ("3 1\r\n0 1\r\n", 1, "integer header"),
+        ("3 1\n+0 1\n", 2, "two integers"),
+        ("12 1\n0 1_0\n", 2, "two integers"),
+        ("3 1\n\uff10 1\n", 2, "two integers"),
+        ("3 1\n0 1\r\n", 2, "two integers"),
     ],
 )
 def test_parse_errors_name_the_line(text, line_no, fragment):

@@ -1,10 +1,16 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import combinations, permutations
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bandrec
 from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.families import (
     complete_graph,
@@ -337,3 +343,31 @@ class TestRecognize:
             results = list(pool.map(lambda job: recognize(*job), jobs))
         for (g, k), result in zip(jobs, results):
             assert result == recognize(g, k)
+
+    def test_bad_certificate_raises_under_optimize(self):
+        # A search that returns the identity for a relabelled path (stretch 5)
+        # at k=4: the final certificate check must fire even with asserts off.
+        script = textwrap.dedent(
+            """
+            import sys
+            if __debug__:
+                sys.exit("asserts are on; expected python -O")
+            from bandrec import recognition
+            from bandrec.families import path_graph
+            from bandrec.graph import Layout
+
+            recognition._solve_component = lambda sub, k: Layout.identity(sub.n)
+            g = path_graph(6).relabeled([0, 5, 1, 4, 2, 3])
+            try:
+                recognition.recognize(g, 4)
+            except RuntimeError as exc:
+                print("RuntimeError:", exc)
+            """
+        )
+        src = str(Path(bandrec.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("RuntimeError: certificate"), proc.stdout
