@@ -17,6 +17,17 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 
+def _node(v: object, n: int) -> int:
+    # The one check of a node id: an integer by operator.index (bool is
+    # refused, though it is an int) within 0..n-1.
+    if type(v) is bool:
+        raise TypeError(f"node ids must be integers, not bool: {v!r}")
+    v = operator.index(v)
+    if not (0 <= v < n):
+        raise ValueError(f"node {v} out of range for n={n}")
+    return v
+
+
 def _bits(mask: int) -> Iterator[int]:
     # Indices of the set bits of ``mask``, ascending.
     while mask:
@@ -49,16 +60,11 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
         if n < 1:
             raise ValueError("graph needs at least one node (bandwidth of the empty graph is undefined)")
-        index = operator.index
         normalized = set()
         for u, v in edges:
-            if type(u) is bool or type(v) is bool:
-                raise TypeError(f"edge ({u!r}, {v!r}): node ids must be integers, not bool")
-            u, v = index(u), index(v)
+            u, v = _node(u, n), _node(v, n)
             if u == v:
                 raise ValueError(f"self-loop on node {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
 
         masks = [0] * n
@@ -111,9 +117,10 @@ class Graph:
         """Induced subgraph on ``nodes``, relabelled to ``0..len(nodes)-1``.
 
         Returns the subgraph together with the local-to-original node mapping
-        (``mapping[local] == original``). ``nodes`` must be distinct.
+        (``mapping[local] == original``). ``nodes`` must be distinct node ids
+        of this graph, checked as :class:`Graph` checks edge endpoints.
         """
-        mapping = tuple(sorted(nodes))
+        mapping = tuple(sorted(_node(v, self.n) for v in nodes))
         if len(set(mapping)) != len(mapping):
             raise ValueError("subgraph nodes must be distinct")
         local = {orig: i for i, orig in enumerate(mapping)}
@@ -272,9 +279,7 @@ def bfs_layers(g: Graph, source: int) -> list[int]:
     ``source`` (the source itself is excluded), for ``d`` up to the source's
     eccentricity within its component. Isolated sources yield ``[]``.
     """
-    source = operator.index(source)
-    if not (0 <= source < g.n):
-        raise ValueError(f"source {source} out of range for n={g.n}")
+    source = _node(source, g.n)
     cumulative: list[int] = []
     total = 0
     for layer in _frontier_walk(g, source):

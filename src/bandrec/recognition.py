@@ -196,10 +196,12 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     size ``n_C`` that actually needs searching; other inputs raise
     :class:`OutOfRegimeError`. ``k >= n-1`` is accepted and trivially true.
 
-    The verdict is exact: lower bounds may cut the search short (negative
-    ``bounds_cutoff``), components are solved independently and their
-    certificate layouts concatenated, and a negative after full enumeration
-    reports ``search_exhausted``.
+    The verdict is exact. Every component with ``k < n_C - 1`` gets its lower
+    bounds once, before any search or regime error: if one exceeds ``k`` the
+    answer is a negative ``bounds_cutoff``, whichever component it is. Then
+    the components are solved independently in order of their smallest node
+    id, and their certificate layouts concatenated; a negative after full
+    enumeration reports ``search_exhausted``.
     """
     n = g.n
     if k < 0:
@@ -207,31 +209,36 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     if k >= n - 1:
         return RecognitionResult(True, Layout.identity(n))
 
-    if k < bandwidth_bounds(g).combined:
-        return RecognitionResult(False, None, BOUNDS_CUTOFF)
-
-    pieces: list[Sequence[int]] = []
+    # Whole-graph alpha is the largest component alpha and whole-graph gamma
+    # the smallest component gamma, and a component with k >= n_C - 1 has
+    # both at most k; so a whole-graph bound above k is always a bound above
+    # k of one of the components bounded here.
+    parts: list[tuple[Graph | None, Sequence[int]]] = []
     for component in connected_components(g).components:
         size = len(component)
         if k >= size - 1:
             # Any ordering works; ascending ids keep the result deterministic.
-            pieces.append(component)
+            parts.append((None, component))
             continue
-        if k < (size - 1) // 2:
-            raise OutOfRegimeError(
-                f"component of size {size} needs k >= {(size - 1) // 2}, got {k}"
-            )
-        sub, mapping = g.subgraph(component)
+        sub, mapping = (g, component) if size == n else g.subgraph(component)
         if k < bandwidth_bounds(sub).combined:
             return RecognitionResult(False, None, BOUNDS_CUTOFF)
+        parts.append((sub, mapping))
+
+    inverse: list[int] = []
+    for sub, mapping in parts:
+        if sub is None:
+            inverse.extend(mapping)
+            continue
+        if k < (sub.n - 1) // 2:
+            raise OutOfRegimeError(
+                f"component of size {sub.n} needs k >= {(sub.n - 1) // 2}, got {k}"
+            )
         layout = _solve_component(sub, k)
         if layout is None:
             return RecognitionResult(False, None, SEARCH_EXHAUSTED)
-        pieces.append([mapping[v] for v in layout.inverse])
+        inverse.extend(mapping[v] for v in layout.inverse)
 
-    inverse: list[int] = []
-    for piece in pieces:
-        inverse.extend(piece)
     certificate = Layout.from_inverse(inverse)
     # An explicit check, not an assert, so the certificate is re-checked under -O too.
     if layout_bandwidth(g, certificate) > k:

@@ -95,6 +95,19 @@ class TestGraphConstruction:
         assert mapping == (0, 1, 4)
         assert sub.edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "nodes,error",
+        [([0, 99], ValueError), ([-1, 0], ValueError), ([0, 1.0], TypeError), ([True, 2], TypeError)],
+    )
+    def test_subgraph_rejects_bad_node_ids(self, nodes, error):
+        with pytest.raises(error):
+            Graph(5, [(0, 1)]).subgraph(nodes)
+
+    def test_subgraph_mapping_coerced(self):
+        _, mapping = Graph(5, [(0, 1)]).subgraph([np.int64(1), np.int64(0)])
+        assert mapping == (0, 1)
+        assert all(type(v) is int for v in mapping)
+
 
 class TestLayout:
     def test_identity_and_inverse(self):
@@ -184,6 +197,11 @@ class TestBfsLayers:
     def test_out_of_range_source(self):
         with pytest.raises(ValueError):
             bfs_layers(path_graph(3), 3)
+
+    @pytest.mark.parametrize("source", [True, 1.0])
+    def test_rejects_non_integer_source(self, source):
+        with pytest.raises(TypeError):
+            bfs_layers(path_graph(3), source)
 
     @given(graphs())
     def test_strictly_increasing_up_to_component(self, g):

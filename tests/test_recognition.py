@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bandrec
+from bandrec import recognition
 from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.families import (
     complete_graph,
@@ -292,6 +293,40 @@ class TestRecognize:
         result = recognize(g, 2)
         assert not result.verdict
         assert result.negative_reason == SEARCH_EXHAUSTED
+
+    def test_connected_graph_is_not_copied(self, monkeypatch):
+        def no_copy(self, nodes):
+            raise AssertionError("subgraph of a connected graph")
+
+        monkeypatch.setattr(Graph, "subgraph", no_copy)
+        g = cycle_graph(5)
+        assert_certified(g, 2, recognize(g, 2))
+
+    def test_connected_graph_bounded_once(self, monkeypatch):
+        bounded = []
+        real = recognition.bandwidth_bounds
+        monkeypatch.setattr(recognition, "bandwidth_bounds", lambda g: bounded.append(g) or real(g))
+        g = cycle_graph(5)
+        assert_certified(g, 2, recognize(g, 2))
+        assert bounded == [g]
+
+    def test_bounds_cutoff_wins_over_an_earlier_out_of_regime_component(self):
+        # P_8 (out of regime at k=2) then K_4 (bandwidth 3): both say bandwidth > 2
+        edges = list(path_graph(8).edges) + [(u + 8, v + 8) for u, v in complete_graph(4).edges]
+        result = recognize(Graph(12, edges), 2)
+        assert not result.verdict
+        assert result.negative_reason == BOUNDS_CUTOFF
+
+    def test_bounds_of_every_component_come_before_any_search(self, monkeypatch):
+        neg, _ = generate_negative_case(6, 2, seed=5)
+        edges = list(neg.edges) + [(u + 6, v + 6) for u, v in complete_graph(4).edges]
+        solved = []
+        real = recognition._solve_component
+        monkeypatch.setattr(recognition, "_solve_component", lambda sub, k: solved.append(sub) or real(sub, k))
+        result = recognize(Graph(10, edges), 2)
+        assert not result.verdict
+        assert result.negative_reason == BOUNDS_CUTOFF
+        assert solved == []
 
     def test_disconnected_certificate_concatenation(self):
         # two C_5 copies: beta = 2, solvable per component at k = 2
