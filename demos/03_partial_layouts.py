@@ -2,14 +2,16 @@
 # Under the hood: left partial layouts, the blocking index, and the nested
 # counting check that replaces a factorial search over right layouts.
 
-from bandrec import (
+from bandrec import layout_bandwidth
+from bandrec.families import cycle_graph
+# The engine's internals live in bandrec.recognition; the package root does
+# not re-export them.
+from bandrec.recognition import (
+    assemble_certificate,
     build_blocked_index,
     check_hall_and_build_right,
-    assemble_certificate,
     enumerate_left_partial_layouts,
-    layout_bandwidth,
 )
-from bandrec.families import cycle_graph
 
 g = cycle_graph(5)
 n, k = 5, 2

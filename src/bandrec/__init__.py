@@ -17,7 +17,6 @@ from .generate import (
     random_banded_matrix,
 )
 from .graph import (
-    ComponentDecomposition,
     Graph,
     Layout,
     bfs_layers,
@@ -29,40 +28,27 @@ from .recognition import (
     BOUNDS_CUTOFF,
     OUT_OF_REGIME,
     SEARCH_EXHAUSTED,
-    BlockedIndex,
-    LeftPartialLayout,
     OutOfRegimeError,
     RecognitionResult,
-    assemble_certificate,
-    build_blocked_index,
-    check_hall_and_build_right,
-    enumerate_left_partial_layouts,
     recognize,
 )
 
 __all__ = [
     "BOUNDS_CUTOFF",
     "BandwidthBounds",
-    "BlockedIndex",
-    "ComponentDecomposition",
     "GenParams",
     "GenerationError",
     "Graph",
     "GraphParseError",
     "Layout",
-    "LeftPartialLayout",
     "OUT_OF_REGIME",
     "OutOfRegimeError",
     "RecognitionResult",
     "SEARCH_EXHAUSTED",
     "alpha_bound",
-    "assemble_certificate",
     "bandwidth_bounds",
     "bfs_layers",
-    "build_blocked_index",
-    "check_hall_and_build_right",
     "connected_components",
-    "enumerate_left_partial_layouts",
     "exact_bandwidth_bruteforce",
     "generate_affirmative_case",
     "generate_negative_case",

@@ -1,11 +1,12 @@
 """Reference implementations used as correctness oracles.
 
-``naive_recognition`` keeps the same outer enumeration as the fast
-recognizer but replaces the counting feasibility check with the direct
-definition: try every compatible right assignment and test all far-apart
+``naive_recognition`` decides the same question as the fast recognizer by
+the direct definition, with its own loop and its own certificate: try every
+left layout against every compatible right layout and test all far-apart
 position pairs for edges. ``exact_bandwidth_bruteforce`` minimises the
-layout bandwidth over all n! layouts outright. Both are meant for small n
-and exist so the fast path has something independent to disagree with.
+layout bandwidth over all n! layouts outright. Both are meant for small n,
+and neither shares code with the fast path, so they have something
+independent to disagree with.
 """
 
 from __future__ import annotations
@@ -14,14 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .graph import Graph, Layout
-from .recognition import (
-    SEARCH_EXHAUSTED,
-    OutOfRegimeError,
-    RecognitionResult,
-    assemble_certificate,
-    enumerate_left_partial_layouts,
-)
+from .graph import Graph, Layout, _integer
+from .recognition import SEARCH_EXHAUSTED, OutOfRegimeError, RecognitionResult
 
 BRUTEFORCE_MAX_NODES = 9
 
@@ -31,11 +26,13 @@ _layout_rows_cache: dict[int, np.ndarray] = {}
 def naive_recognition(g: Graph, k: int) -> RecognitionResult:
     """Pair-enumeration recognizer: every left layout against every right layout.
 
-    O(n^(2(n-k))) time; intended for n <= 10. Shares the left enumeration
-    and certificate assembly with the fast recognizer, so any disagreement
-    isolates to the feasibility check itself.
+    O(n^(2(n-k))) time; intended for n <= 10. Left layouts fill positions
+    ``0..n-k-2`` and right layouts ``k+1..n-1``, both in lexicographic order;
+    the first compatible pair is completed with the middle nodes in ascending
+    id. ``k`` is checked as :func:`~bandrec.recognition.recognize` checks it.
     """
     n = g.n
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k >= n - 1:
@@ -45,14 +42,12 @@ def naive_recognition(g: Graph, k: int) -> RecognitionResult:
 
     masks = g.neighbor_masks
     width = n - k - 1
-    for left in enumerate_left_partial_layouts(g, k):
-        assignment = left.assignment
-        members = left.members
-        rest = [v for v in range(n) if v not in members]
+    for left in permutations(range(n), width):
+        rest = [v for v in range(n) if v not in left]
         for right in permutations(rest, width):
             feasible = True
             for i in range(width):
-                mask = masks[assignment[i]]
+                mask = masks[left[i]]
                 for j in range(i, width):
                     if mask >> right[j] & 1:
                         feasible = False
@@ -60,7 +55,8 @@ def naive_recognition(g: Graph, k: int) -> RecognitionResult:
                 if not feasible:
                     break
             if feasible:
-                return RecognitionResult(True, assemble_certificate(left, right, g, k))
+                middle = [v for v in rest if v not in right]
+                return RecognitionResult(True, Layout.from_inverse([*left, *middle, *right]))
     return RecognitionResult(False, None, SEARCH_EXHAUSTED)
 
 

@@ -11,18 +11,22 @@ from the masks rather than stored beside them.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 
-def _node(v: object, n: int) -> int:
-    # The one check of a node id: an integer by operator.index (bool is
-    # refused, though it is an int) within 0..n-1.
+def _integer(v: object, what: str) -> int:
+    # The one integer check of the package, for node ids and for k: an
+    # integer by operator.index, with bool refused though it is an int.
     if type(v) is bool:
-        raise TypeError(f"node ids must be integers, not bool: {v!r}")
-    v = operator.index(v)
+        raise TypeError(f"{what} must be an integer, not bool: {v!r}")
+    return operator.index(v)
+
+
+def _node(v: object, n: int) -> int:
+    # A node id: an integer within 0..n-1.
+    v = _integer(v, "a node id")
     if not (0 <= v < n):
         raise ValueError(f"node {v} out of range for n={n}")
     return v
@@ -174,13 +178,9 @@ class Layout:
     @classmethod
     def from_inverse(cls, inverse: Sequence[int]) -> "Layout":
         """Build from a position -> node sequence."""
-        n = len(inverse)
-        forward = [-1] * n
-        for pos, v in enumerate(inverse):
-            if not (0 <= v < n) or forward[v] != -1:
-                raise ValueError("layout is not a bijection onto 0..n-1")
-            forward[v] = pos
-        return cls(forward)
+        # Read as a forward map, ``inverse`` is the inverse layout; its own
+        # inverse is the forward map wanted, and __init__ checks both.
+        return cls(cls(inverse).inverse)
 
     @property
     def n(self) -> int:
@@ -201,18 +201,6 @@ class Layout:
 
     def __repr__(self) -> str:
         return f"Layout(forward={list(self.forward)})"
-
-
-@dataclass(frozen=True)
-class ComponentDecomposition:
-    """Partition of the node set into connected components.
-
-    ``components`` are sorted internally and ordered by smallest contained
-    node id; ``component_of[v]`` is the index of the component holding ``v``.
-    """
-
-    components: tuple[tuple[int, ...], ...]
-    component_of: tuple[int, ...]
 
 
 def layout_bandwidth(g: Graph, layout: Layout) -> int:
@@ -254,9 +242,8 @@ def _frontier_walk(g: Graph, source: int) -> Iterator[int]:
         yield frontier
 
 
-def connected_components(g: Graph) -> ComponentDecomposition:
-    """BFS partition into connected components, ordered by smallest node id."""
-    component_of = [-1] * g.n
+def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """BFS partition into connected components, each sorted, ordered by smallest node id."""
     components: list[tuple[int, ...]] = []
     unassigned = (1 << g.n) - 1
     while unassigned:
@@ -265,11 +252,8 @@ def connected_components(g: Graph) -> ComponentDecomposition:
         for layer in _frontier_walk(g, start):
             member |= layer
         unassigned ^= member
-        nodes = tuple(_bits(member))
-        for v in nodes:
-            component_of[v] = len(components)
-        components.append(nodes)
-    return ComponentDecomposition(tuple(components), tuple(component_of))
+        components.append(tuple(_bits(member)))
+    return tuple(components)
 
 
 def bfs_layers(g: Graph, source: int) -> list[int]:

@@ -32,7 +32,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from .bounds import bandwidth_bounds
-from .graph import Graph, Layout, connected_components, layout_bandwidth
+from .graph import Graph, Layout, _integer, connected_components, layout_bandwidth
 
 BOUNDS_CUTOFF = "bounds_cutoff"
 SEARCH_EXHAUSTED = "search_exhausted"
@@ -195,6 +195,8 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     Requires ``k >= floor((n_C - 1) / 2)`` for every connected component of
     size ``n_C`` that actually needs searching; other inputs raise
     :class:`OutOfRegimeError`. ``k >= n-1`` is accepted and trivially true.
+    ``k`` is coerced like a node id: ``operator.index``, and ``bool`` or a
+    non-integer raises ``TypeError``.
 
     The verdict is exact. Every component with ``k < n_C - 1`` gets its lower
     bounds once, before any search or regime error: if one exceeds ``k`` the
@@ -204,6 +206,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     enumeration reports ``search_exhausted``.
     """
     n = g.n
+    k = _integer(k, "k")
     if k < 0:
         raise ValueError("k must be nonnegative")
     if k >= n - 1:
@@ -214,7 +217,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     # both at most k; so a whole-graph bound above k is always a bound above
     # k of one of the components bounded here.
     parts: list[tuple[Graph | None, Sequence[int]]] = []
-    for component in connected_components(g).components:
+    for component in connected_components(g):
         size = len(component)
         if k >= size - 1:
             # Any ordering works; ascending ids keep the result deterministic.

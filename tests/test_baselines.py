@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from bandrec import recognition
 from bandrec.baselines import (
     BRUTEFORCE_MAX_NODES,
     exact_bandwidth_bruteforce,
@@ -47,7 +49,7 @@ class TestExactBandwidthBruteforce:
             edges = list(left.edges) + [(u + left.n, v + left.n) for u, v in right.edges]
             g = Graph(left.n + right.n, edges)
             per_component = []
-            for comp in connected_components(g).components:
+            for comp in connected_components(g):
                 sub, _ = g.subgraph(comp)
                 per_component.append(exact_bandwidth_bruteforce(sub))
             assert exact_bandwidth_bruteforce(g) == max(per_component)
@@ -67,6 +69,16 @@ class TestNaiveRecognition:
         result = naive_recognition(complete_graph(4), 3)
         assert result.verdict
         assert result.certificate == Layout.identity(4)
+
+    def test_shares_no_code_with_the_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the oracle called into the engine")
+
+        for name in ("LeftPartialLayout", "enumerate_left_partial_layouts", "assemble_certificate"):
+            monkeypatch.setattr(recognition, name, engine)
+        g = cycle_graph(5)
+        assert_certified(g, 2, naive_recognition(g, 2))
+        assert naive_recognition(complete_graph(4), 2).negative_reason == SEARCH_EXHAUSTED
 
     def test_out_of_regime(self):
         with pytest.raises(OutOfRegimeError):
@@ -88,3 +100,20 @@ class TestNaiveRecognition:
                 if fast.verdict:
                     assert_certified(g, k, fast)
                     assert_certified(g, k, slow)
+
+
+# Both deciders take k by the rule node ids follow: operator.index, bool refused.
+DECIDERS = pytest.mark.parametrize("decide", [recognize, naive_recognition], ids=["recognize", "naive"])
+
+
+@DECIDERS
+def test_numpy_k_coerced(decide):
+    g = cycle_graph(5)
+    assert_certified(g, 2, decide(g, np.int64(2)))
+
+
+@DECIDERS
+@pytest.mark.parametrize("k", [True, 2.5], ids=["bool", "float"])
+def test_non_integer_k_rejected(decide, k):
+    with pytest.raises(TypeError):
+        decide(complete_graph(4), k)

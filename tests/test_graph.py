@@ -51,8 +51,7 @@ class TestGraphConstruction:
         assert g.adjacent(0, 70) and g.adjacent(70, 0)
         assert g.edges == ((0, 70),)
         assert all(type(x) is int for x in g.edges[0])
-        decomp = connected_components(g)
-        assert decomp.component_of[0] == decomp.component_of[70]
+        assert (0, 70) in connected_components(g)
         assert bfs_layers(g, np.int64(70)) == [1]
 
     def test_rejects_bool_endpoint(self):
@@ -161,26 +160,24 @@ class TestLayoutBandwidth:
 
 class TestConnectedComponents:
     def test_edgeless_singletons(self):
-        decomp = connected_components(empty_graph(3))
-        assert decomp.components == ((0,), (1,), (2,))
+        assert connected_components(empty_graph(3)) == ((0,), (1,), (2,))
 
     def test_complete_single_component(self):
-        decomp = connected_components(complete_graph(4))
-        assert decomp.components == ((0, 1, 2, 3),)
+        assert connected_components(complete_graph(4)) == ((0, 1, 2, 3),)
 
     def test_two_pairs(self):
-        decomp = connected_components(Graph(4, [(0, 1), (2, 3)]))
-        assert decomp.components == ((0, 1), (2, 3))
-        assert decomp.component_of == (0, 0, 1, 1)
+        assert connected_components(Graph(4, [(0, 1), (2, 3)])) == ((0, 1), (2, 3))
 
     @given(graphs())
     def test_partition_and_no_cross_edges(self, g):
-        decomp = connected_components(g)
-        seen = sorted(v for comp in decomp.components for v in comp)
+        components = connected_components(g)
+        seen = sorted(v for comp in components for v in comp)
         assert seen == list(range(g.n))
+        index_of = {v: i for i, comp in enumerate(components) for v in comp}
         for u, v in g.edges:
-            assert decomp.component_of[u] == decomp.component_of[v]
-        mins = [comp[0] for comp in decomp.components]
+            assert index_of[u] == index_of[v]
+        assert all(list(comp) == sorted(comp) for comp in components)
+        mins = [comp[0] for comp in components]
         assert mins == sorted(mins)
 
 
@@ -205,11 +202,11 @@ class TestBfsLayers:
 
     @given(graphs())
     def test_strictly_increasing_up_to_component(self, g):
-        decomp = connected_components(g)
+        size_of = {v: len(comp) for comp in connected_components(g) for v in comp}
         for v in range(g.n):
             layers = bfs_layers(g, v)
             assert all(a < b for a, b in zip(layers, layers[1:]))
-            component_size = len(decomp.components[decomp.component_of[v]])
+            component_size = size_of[v]
             if component_size == 1:
                 assert layers == []
             else:
