@@ -22,15 +22,17 @@ lefts = list(enumerate_left_partial_layouts(g, k))
 print("left partial layouts:", len(lefts))
 print("first five:", [pl.assignment for pl in lefts[:5]])
 
-# For each left layout, blocked_of[v] is the first left position whose node
-# is adjacent to v (sentinel n = "never blocked"). A node may take right
-# position k+j+1 only while blocked_of[v] > j, and the candidate pools shrink
-# as j grows, so feasibility reduces to counting how many nodes survive each
-# threshold.
+# For each left layout, pools[j] is the bitmask of the unplaced nodes that
+# no left node at positions 0..j is adjacent to: the candidates for right
+# position k+j+1. Each pool is the one before minus a neighbour mask, so they
+# shrink as j grows, and feasibility reduces to one popcount per pool.
+# blocked_of is a view derived from the pools: the first left position whose
+# node is adjacent to v, or n when none is.
 for pl in lefts[:4]:
     index = build_blocked_index(g, pl)
     right = check_hall_and_build_right(index, n, k)
-    print(f"left={pl.assignment}  blocked={index.blocked_of}  ", end="")
+    sizes = [pool.bit_count() for pool in index.pools]
+    print(f"left={pl.assignment}  blocked={index.blocked_of}  pool sizes={sizes}  ", end="")
     if right is None:
         print("no compatible right layout")
     else:

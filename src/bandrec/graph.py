@@ -128,10 +128,20 @@ class Graph:
         if len(set(mapping)) != len(mapping):
             raise ValueError("subgraph nodes must be distinct")
         local = {orig: i for i, orig in enumerate(mapping)}
-        member = set(mapping)
-        sub_edges = [
-            (local[u], local[v]) for u, v in self.edges if u in member and v in member
-        ]
+        member = 0
+        for v in mapping:
+            member |= 1 << v
+        masks = self._masks
+        # Each edge once, from its smaller end: the member bits of masks[u]
+        # above u. The set-bit loop is inlined, as in _frontier_walk, to spare
+        # a generator per node.
+        sub_edges = []
+        for i, u in enumerate(mapping):
+            above = masks[u] & (member >> (u + 1) << (u + 1))
+            while above:
+                low = above & -above
+                sub_edges.append((i, local[low.bit_length() - 1]))
+                above ^= low
         return Graph(len(mapping), sub_edges), mapping
 
     def __eq__(self, other: object) -> bool:
@@ -178,9 +188,13 @@ class Layout:
     @classmethod
     def from_inverse(cls, inverse: Sequence[int]) -> "Layout":
         """Build from a position -> node sequence."""
-        # Read as a forward map, ``inverse`` is the inverse layout; its own
-        # inverse is the forward map wanted, and __init__ checks both.
-        return cls(cls(inverse).inverse)
+        # Read as a forward map, ``inverse`` is the inverse layout, which
+        # __init__ validates; swapping its two maps gives the layout wanted.
+        flipped = cls(inverse)
+        layout = object.__new__(cls)
+        object.__setattr__(layout, "forward", flipped.inverse)
+        object.__setattr__(layout, "inverse", flipped.forward)
+        return layout
 
     @property
     def n(self) -> int:

@@ -7,16 +7,18 @@ recognizer therefore enumerates assignments of the leftmost positions and,
 for each, decides in near-linear time whether the rightmost positions can be
 filled compatibly. That feasibility question is a bipartite matching whose
 structure is nested, so it collapses to ``n-k-1`` counting checks: position
-``k+j+1`` may hold any unplaced node not adjacent to the left nodes at
-indices ``<= j``, and a compatible assignment of all right positions exists
-iff at least ``n-k-j-1`` such nodes remain for every ``j``.
+``k+j+1`` may hold any node of the pool ``A_j``, the unplaced nodes not
+adjacent to the left nodes at indices ``<= j``, and a compatible assignment
+of all right positions exists iff ``|A_j| >= n-k-j-1`` for every ``j``.
 
-The counting is served by a per-left-layout index: ``blocked_of[v]`` is the
-smallest left index adjacent to ``v`` (``n`` as the "never blocked"
-sentinel), and the unplaced nodes sorted by that value let each check run as
-one binary search. When every check passes, the sorted order itself yields a
-valid right assignment, and the remaining nodes fill the middle positions in
-any order.
+The pools are bitmasks over the node ids. Starting from the unplaced nodes,
+one pass over the left nodes builds them all, each from the one before by
+clearing a neighbour mask (``A_j = A_{j-1} & ~N(left[j])``), and each check
+is one popcount. When
+every check passes, the pools' layers (the nodes that leave the pools at
+``j``, then those that never leave) in ascending id order yield a valid
+right assignment: its last ``n-k-1`` nodes. The remaining nodes fill the
+middle positions in any order.
 
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
@@ -26,13 +28,12 @@ silently falling back to another method.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator, Sequence
 
 from .bounds import bandwidth_bounds
-from .graph import Graph, Layout, _integer, connected_components, layout_bandwidth
+from .graph import Graph, Layout, _bits, _integer, connected_components, layout_bandwidth
 
 BOUNDS_CUTOFF = "bounds_cutoff"
 SEARCH_EXHAUSTED = "search_exhausted"
@@ -66,21 +67,52 @@ class LeftPartialLayout:
         return cls(assignment, members)
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockedIndex:
-    """Blocking structure for the unplaced nodes of one left partial layout.
+    """Candidate pools for the right positions of one left partial layout.
 
-    ``blocked_of[v]`` is the minimum left index whose node is adjacent to
-    ``v``, or ``sentinel`` (= n, larger than any real index) when none is.
-    ``sorted_nodes`` holds the k+1 unplaced nodes in nondecreasing
-    ``blocked_of`` order, ties broken by ascending node id; ``sorted_values``
-    is the aligned value array that the binary searches run on.
+    ``pools[j]`` is the bitmask of ``A_j``: the nodes in ``unplaced`` (the
+    bitmask of the k+1 nodes off the left layout) that are adjacent to none
+    of the left nodes at indices ``0..j``. The pools are nested, so a node
+    leaves them at most once. ``n`` is the node count of the graph.
+
+    ``blocked_of``, ``sorted_nodes``, ``sorted_values`` and ``sentinel`` are
+    read-only views derived from the pools, for inspection and tests; the
+    search reads only ``unplaced`` and ``pools``.
     """
 
-    blocked_of: dict[int, int]
-    sorted_nodes: list[int]
-    sorted_values: list[int]
-    sentinel: int
+    unplaced: int
+    pools: tuple[int, ...]
+    n: int
+
+    @property
+    def sentinel(self) -> int:
+        """The value ``blocked_of`` gives a node that no left node blocks (= n)."""
+        return self.n
+
+    def _layers(self) -> Iterator[tuple[int, int]]:
+        # (blocked value, bitmask of the nodes with it), ascending by value:
+        # layer j holds the nodes that leave the pools at A_j.
+        previous = self.unplaced
+        for j, pool in enumerate(self.pools):
+            yield j, previous & ~pool
+            previous = pool
+        yield self.n, previous
+
+    @property
+    def blocked_of(self) -> dict[int, int]:
+        """Node -> smallest left index adjacent to it, or ``sentinel``; ascending node ids."""
+        return dict(sorted(zip(self.sorted_nodes, self.sorted_values)))
+
+    @property
+    def sorted_nodes(self) -> list[int]:
+        """The unplaced nodes by nondecreasing ``blocked_of``, ties by ascending id."""
+        return [v for _, layer in self._layers() for v in _bits(layer)]
+
+    @property
+    def sorted_values(self) -> list[int]:
+        """``blocked_of`` of each node of ``sorted_nodes``, aligned with it."""
+        return [b for b, layer in self._layers() for _ in range(layer.bit_count())]
 
 
 @dataclass(frozen=True)
@@ -112,45 +144,47 @@ def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[LeftPartialLayo
 
 
 def build_blocked_index(g: Graph, left: LeftPartialLayout) -> BlockedIndex:
-    """Compute the blocking index for ``left`` in O(k * (n-k)) edge queries."""
-    n = g.n
+    """Compute the pools ``A_0 .. A_{n-k-2}`` for ``left``: two passes over its nodes."""
     masks = g.neighbor_masks
     assignment = left.assignment
-    members = left.members
-    blocked_of: dict[int, int] = {}
-    for v in range(n):
-        if v in members:
-            continue
-        b = n
-        for i, u in enumerate(assignment):
-            if masks[u] >> v & 1:
-                b = i
-                break
-        blocked_of[v] = b
-    # dict preserves ascending-v insertion order and sort() is stable, so
-    # equal blocked values stay ordered by node id.
-    sorted_nodes = sorted(blocked_of, key=blocked_of.__getitem__)
-    sorted_values = [blocked_of[v] for v in sorted_nodes]
-    return BlockedIndex(blocked_of, sorted_nodes, sorted_values, n)
+    placed = 0
+    for u in assignment:
+        placed |= 1 << u
+    pool = unplaced = ((1 << g.n) - 1) ^ placed
+    pools = []
+    for u in assignment:
+        pool &= ~masks[u]
+        pools.append(pool)
+    return BlockedIndex(unplaced, tuple(pools), g.n)
 
 
 def check_hall_and_build_right(index: BlockedIndex, n: int, k: int) -> list[int] | None:
-    """Feasibility check for the right positions, with the assignment built alongside.
+    """Feasibility check for the right positions, and the assignment when it holds.
 
-    For each ``j`` the number of still-unblocked nodes is counted by binary
-    search; the check stops at the first ``j`` whose count falls below
-    ``n-k-j-1`` and returns ``None``. Otherwise returns ``right`` where
-    ``right[j]`` is the node for position ``k+j+1``.
+    Check ``j`` compares the popcount of the pool ``A_j`` with ``n-k-j-1``;
+    the first failing check returns ``None``. Only when every check passes
+    is ``right`` built, where ``right[j]`` is the node for position
+    ``k+j+1``: the last ``n-k-1`` nodes of the pools' layers in order,
+    each layer in ascending node id.
     """
-    values = index.sorted_values
-    nodes = index.sorted_nodes
-    total = k + 1
-    base = 2 * k - n + 2
-    right = []
-    for j in range(n - k - 1):
-        if total - bisect_right(values, j) < n - k - j - 1:
+    width = need = n - k - 1
+    for pool in index.pools:
+        if pool.bit_count() < need:
             return None
-        right.append(nodes[base + j])
+        need -= 1
+    # The last nodes of the layer order, taken from the top down: the highest
+    # ids of the never-blocked layer (the last pool) first, then of each
+    # layer below it.
+    right: list[int] = []
+    above = 0
+    for pool in reversed((index.unplaced, *index.pools)):
+        layer = pool & ~above
+        above = pool
+        while layer and len(right) < width:
+            top = layer.bit_length() - 1
+            right.append(top)
+            layer ^= 1 << top
+    right.reverse()
     return right
 
 

@@ -108,6 +108,44 @@ class TestGraphConstruction:
         assert all(type(v) is int for v in mapping)
 
 
+def subgraph_by_edge_scan(g, nodes):
+    """The induced subgraph as first defined: every edge of ``g`` scanned,
+    kept when both ends are in ``nodes``."""
+    mapping = tuple(sorted(nodes))
+    local = {orig: i for i, orig in enumerate(mapping)}
+    kept = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+    return Graph(len(mapping), kept), mapping
+
+
+def random_multi_component_graph(rng, n):
+    """Random edges inside each block of a random partition of 0..n-1."""
+    order = [int(v) for v in rng.permutation(n)]
+    cuts = sorted(int(c) for c in rng.choice(range(1, n), size=min(3, n - 1), replace=False))
+    edges = []
+    for block in np.split(order, cuts):
+        for a, b in combinations(sorted(int(v) for v in block), 2):
+            if rng.random() < 0.5:
+                edges.append((a, b))
+    return Graph(n, edges)
+
+
+class TestSubgraphReference:
+    def test_matches_every_edge_scan(self):
+        rng = np.random.default_rng(6060)
+        for _ in range(40):
+            g = random_multi_component_graph(rng, int(rng.integers(2, 25)))
+            subsets = list(connected_components(g))
+            for _ in range(3):
+                size = int(rng.integers(1, g.n + 1))
+                subsets.append(tuple(int(v) for v in rng.choice(g.n, size=size, replace=False)))
+            for nodes in subsets:
+                sub, mapping = g.subgraph(nodes)
+                ref_sub, ref_mapping = subgraph_by_edge_scan(g, nodes)
+                assert mapping == ref_mapping
+                assert sub == ref_sub
+                assert sub.neighbor_masks == ref_sub.neighbor_masks
+
+
 class TestLayout:
     def test_identity_and_inverse(self):
         layout = Layout.identity(4)
@@ -122,6 +160,23 @@ class TestLayout:
             Layout([0, 1, 3])
         with pytest.raises(ValueError):
             Layout.from_inverse([1, 1, 2])
+
+    def test_from_inverse_validates_once(self, monkeypatch):
+        built = []
+        init = Layout.__init__
+
+        def counting_init(self, forward):
+            built.append(tuple(forward))
+            init(self, forward)
+
+        monkeypatch.setattr(Layout, "__init__", counting_init)
+        layout = Layout.from_inverse([2, 0, 3, 1])
+        assert built == [(2, 0, 3, 1)]
+        assert layout.inverse == (2, 0, 3, 1)
+        assert layout.forward == (1, 3, 0, 2)
+        with pytest.raises(ValueError, match="layout is not a bijection onto 0..n-1"):
+            Layout.from_inverse([1, 1, 2])
+        assert built == [(2, 0, 3, 1), (1, 1, 2)]
 
     def test_reversed(self):
         layout = Layout([2, 0, 1])

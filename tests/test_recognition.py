@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from bisect import bisect_right
 from itertools import combinations, permutations
 from math import factorial
 from pathlib import Path
@@ -224,6 +225,55 @@ class TestHallCheck:
                 by_search = bisect_right(index.sorted_values, j)
                 by_scan = sum(1 for v in index.sorted_nodes if index.blocked_of[v] <= j)
                 assert by_search == by_scan
+
+
+def right_by_sort_and_bisect(g, k, lft):
+    """The Hall check as first written: blocked values from an edge scan, the
+    unplaced nodes sorted stably by them, each count a binary search, and the
+    last n-k-1 nodes of the sorted order as the right assignment."""
+    n = g.n
+    width = n - k - 1
+    blocked = {}
+    for v in range(n):
+        if v not in lft.members:
+            hits = [i for i, u in enumerate(lft.assignment) if g.adjacent(u, v)]
+            blocked[v] = hits[0] if hits else n
+    nodes = sorted(blocked, key=blocked.__getitem__)
+    values = [blocked[v] for v in nodes]
+    for j in range(width):
+        if len(nodes) - bisect_right(values, j) < width - j:
+            return None
+    return nodes[len(nodes) - width :]
+
+
+class TestPools:
+    @given(graph_k_left(max_n=10))
+    @settings(max_examples=100)
+    def test_pools_are_the_candidate_sets(self, case):
+        # pools[j] is A_j: the unplaced nodes adjacent to none of left[0..j]
+        g, k, pl = case
+        index = build_blocked_index(g, pl)
+        assert len(index.pools) == g.n - k - 1
+        for j, pool in enumerate(index.pools):
+            a_j = sum(
+                1 << v
+                for v in range(g.n)
+                if v not in pl.members
+                and all(not g.adjacent(pl.assignment[i], v) for i in range(j + 1))
+            )
+            assert pool == a_j
+
+    def test_hall_check_matches_sort_and_bisect(self, rng):
+        passed = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 11))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
+            k = int(rng.integers((n - 1) // 2, n - 1))
+            pl = left(int(v) for v in rng.permutation(n)[: n - k - 1])
+            right = check_hall_and_build_right(build_blocked_index(g, pl), n, k)
+            assert right == right_by_sort_and_bisect(g, k, pl)
+            passed += right is not None
+        assert 0 < passed < 400
 
 
 class TestAssembleCertificate:
