@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-# Under the hood: left partial layouts, the blocking index, and the nested
+# Under the hood: left partial layouts, the pool chain, and the nested
 # counting check that replaces a factorial search over right layouts.
 
-from bandrec import layout_bandwidth
+from bandrec import Layout, layout_bandwidth
 from bandrec.families import cycle_graph
 # The engine's internals live in bandrec.recognition; the package root does
 # not re-export them.
@@ -17,34 +17,46 @@ g = cycle_graph(5)
 n, k = 5, 2
 
 # For n=5, k=2 the outer loop walks all 5!/3! = 20 injective assignments of
-# the two leftmost positions, in lexicographic order.
+# the two leftmost positions, in lexicographic order: each left is a plain
+# tuple of nodes, position by position.
 lefts = list(enumerate_left_partial_layouts(g, k))
 print("left partial layouts:", len(lefts))
-print("first five:", [pl.assignment for pl in lefts[:5]])
+print("first five:", lefts[:5])
 
-# For each left layout, pools[j] is the bitmask of the unplaced nodes that
-# no left node at positions 0..j is adjacent to: the candidates for right
-# position k+j+1. Each pool is the one before minus a neighbour mask, so they
-# shrink as j grows, and feasibility reduces to one popcount per pool.
-# blocked_of is a view derived from the pools: the first left position whose
-# node is adjacent to v, or n when none is.
-for pl in lefts[:4]:
-    index = build_blocked_index(g, pl)
-    right = check_hall_and_build_right(index, n, k)
-    sizes = [pool.bit_count() for pool in index.pools]
-    print(f"left={pl.assignment}  blocked={index.blocked_of}  pool sizes={sizes}  ", end="")
+
+def blocked_values(chain):
+    # The first left position whose node is adjacent to v, or n when none is:
+    # v leaves the chain at pool j+1, or stays to the last pool.
+    blocked = {v: n for v in range(n) if chain[-1] >> v & 1}
+    for j, (pool, after) in enumerate(zip(chain, chain[1:])):
+        blocked.update((v, j) for v in range(n) if (pool & ~after) >> v & 1)
+    return dict(sorted(blocked.items()))
+
+
+# For each left, the chain holds the bitmask of the unplaced nodes, then the
+# pools: pool j is the unplaced nodes that no left node at positions 0..j is
+# adjacent to, the candidates for right position k+j+1. Each pool is the one
+# before minus a neighbour mask, so they shrink as j grows, and feasibility
+# reduces to one popcount per pool.
+for left in lefts[:4]:
+    chain = build_blocked_index(g, left)
+    right = check_hall_and_build_right(chain, n, k)
+    sizes = [pool.bit_count() for pool in chain[1:]]
+    print(f"left={left}  blocked={blocked_values(chain)}  pool sizes={sizes}  ", end="")
     if right is None:
         print("no compatible right layout")
     else:
-        cert = assemble_certificate(pl, right, g, k)
-        print(f"right={right}  layout={list(cert.inverse)}  bandwidth={layout_bandwidth(g, cert)}")
+        # The certificate is a position -> node list: left, middle, right.
+        order = assemble_certificate(left, right, g, k)
+        cert = Layout.from_inverse(order)
+        print(f"right={right}  layout={order}  bandwidth={layout_bandwidth(g, cert)}")
 
 # The first feasible left layout ends the search; that is why affirmative
 # instances are usually decided after a tiny fraction of the enumeration,
 # while negative answers must pay for all of it.
 hits = sum(
     1
-    for pl in lefts
-    if check_hall_and_build_right(build_blocked_index(g, pl), n, k) is not None
+    for left in lefts
+    if check_hall_and_build_right(build_blocked_index(g, left), n, k) is not None
 )
 print(f"{hits} of {len(lefts)} left layouts admit a right layout")

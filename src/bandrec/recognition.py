@@ -3,22 +3,23 @@
 Deciding whether a graph admits a layout of bandwidth at most ``k`` only
 requires choosing which nodes occupy the first ``n-k-1`` and last ``n-k-1``
 positions: every other pair of positions is within ``k`` of each other. The
-recognizer therefore enumerates assignments of the leftmost positions and,
-for each, decides in near-linear time whether the rightmost positions can be
-filled compatibly. That feasibility question is a bipartite matching whose
-structure is nested, so it collapses to ``n-k-1`` counting checks: position
-``k+j+1`` may hold any node of the pool ``A_j``, the unplaced nodes not
-adjacent to the left nodes at indices ``<= j``, and a compatible assignment
-of all right positions exists iff ``|A_j| >= n-k-j-1`` for every ``j``.
+recognizer therefore enumerates the left partial layouts, the tuples of
+distinct nodes for the leftmost positions, and for each decides in
+near-linear time whether the rightmost positions can be filled compatibly.
+That feasibility question is a bipartite matching whose structure is nested,
+so it collapses to ``n-k-1`` counting checks: position ``k+j+1`` may hold
+any node of the pool ``A_j``, the unplaced nodes not adjacent to the left
+nodes at indices ``<= j``, and a compatible assignment of all right
+positions exists iff ``|A_j| >= n-k-j-1`` for every ``j``.
 
-The pools are bitmasks over the node ids. Starting from the unplaced nodes,
-one pass over the left nodes builds them all, each from the one before by
-clearing a neighbour mask (``A_j = A_{j-1} & ~N(left[j])``), and each check
-is one popcount. When
-every check passes, the pools' layers (the nodes that leave the pools at
-``j``, then those that never leave) in ascending id order yield a valid
-right assignment: its last ``n-k-1`` nodes. The remaining nodes fill the
-middle positions in any order.
+The pools are bitmasks over the node ids. One pass over the left nodes
+builds the chain ``(unplaced, A_0, ..., A_{n-k-2})``, each pool from the one
+before by clearing a neighbour mask (``A_j = A_{j-1} & ~N(left[j])``), and
+each check is one popcount. When every check passes, the chain's layers (the
+nodes that leave it at ``A_j``, then those that never leave) in ascending id
+order yield a valid right assignment: its last ``n-k-1`` nodes. The
+remaining nodes fill the middle positions, in ascending id order, and the
+component's certificate is the position -> node list left, middle, right.
 
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
@@ -33,7 +34,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from .bounds import bandwidth_bounds
-from .graph import Graph, Layout, _bits, _integer, connected_components, layout_bandwidth
+from .graph import Graph, Layout, _integer, connected_components, layout_bandwidth
 
 BOUNDS_CUTOFF = "bounds_cutoff"
 SEARCH_EXHAUSTED = "search_exhausted"
@@ -45,74 +46,6 @@ class OutOfRegimeError(ValueError):
     left/right position split that the algorithm relies on does not exist."""
 
     reason = OUT_OF_REGIME
-
-
-@dataclass(frozen=True)
-class LeftPartialLayout:
-    """Injective assignment of the leftmost positions ``0..n-k-2``.
-
-    ``assignment[i]`` is the node placed at position ``i``; ``members`` is
-    the same set with O(1) lookup.
-    """
-
-    assignment: tuple[int, ...]
-    members: frozenset[int]
-
-    @classmethod
-    def from_assignment(cls, assignment: Sequence[int]) -> "LeftPartialLayout":
-        assignment = tuple(assignment)
-        members = frozenset(assignment)
-        if len(members) != len(assignment):
-            raise ValueError("left partial layout must be injective")
-        return cls(assignment, members)
-
-
-@dataclass(slots=True)
-class BlockedIndex:
-    """Candidate pools for the right positions of one left partial layout.
-
-    ``pools[j]`` is the bitmask of ``A_j``: the nodes in ``unplaced`` (the
-    bitmask of the k+1 nodes off the left layout) that are adjacent to none
-    of the left nodes at indices ``0..j``. The pools are nested, so a node
-    leaves them at most once. ``n`` is the node count of the graph.
-
-    ``blocked_of``, ``sorted_nodes``, ``sorted_values`` and ``sentinel`` are
-    read-only views derived from the pools, for inspection and tests; the
-    search reads only ``unplaced`` and ``pools``.
-    """
-
-    unplaced: int
-    pools: tuple[int, ...]
-    n: int
-
-    @property
-    def sentinel(self) -> int:
-        """The value ``blocked_of`` gives a node that no left node blocks (= n)."""
-        return self.n
-
-    def _layers(self) -> Iterator[tuple[int, int]]:
-        # (blocked value, bitmask of the nodes with it), ascending by value:
-        # layer j holds the nodes that leave the pools at A_j.
-        previous = self.unplaced
-        for j, pool in enumerate(self.pools):
-            yield j, previous & ~pool
-            previous = pool
-        yield self.n, previous
-
-    @property
-    def blocked_of(self) -> dict[int, int]:
-        """Node -> smallest left index adjacent to it, or ``sentinel``; ascending node ids."""
-        return dict(sorted(zip(self.sorted_nodes, self.sorted_values)))
-
-    @property
-    def sorted_nodes(self) -> list[int]:
-        """The unplaced nodes by nondecreasing ``blocked_of``, ties by ascending id."""
-        return [v for _, layer in self._layers() for v in _bits(layer)]
-
-    @property
-    def sorted_values(self) -> list[int]:
-        """``blocked_of`` of each node of ``sorted_nodes``, aligned with it."""
-        return [b for b, layer in self._layers() for _ in range(layer.bit_count())]
 
 
 @dataclass(frozen=True)
@@ -129,46 +62,50 @@ class RecognitionResult:
     negative_reason: str | None = None
 
 
-def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[LeftPartialLayout]:
+def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
     """Yield every left partial layout of ``g`` w.r.t. bandwidth ``k`` once.
 
-    The stream is lexicographic over the assignment arrays and contains
-    exactly ``n! / (k+1)!`` entries; only O(n) state is held at a time.
+    A left partial layout is the tuple of ``n-k-1`` distinct nodes for the
+    positions ``0..n-k-2``. The stream is lexicographic and contains exactly
+    ``n! / (k+1)!`` tuples; only O(n) state is held at a time. A ``k``
+    outside the enumerable range raises ``ValueError`` on the first ``next``.
     """
     n = g.n
     if not ((n - 1) // 2 <= k <= n - 2):
         raise ValueError(f"k={k} outside the enumerable range [{(n - 1) // 2}, {n - 2}] for n={n}")
-    width = n - k - 1
-    for assignment in permutations(range(n), width):
-        yield LeftPartialLayout(assignment, frozenset(assignment))
+    yield from permutations(range(n), n - k - 1)
 
 
-def build_blocked_index(g: Graph, left: LeftPartialLayout) -> BlockedIndex:
-    """Compute the pools ``A_0 .. A_{n-k-2}`` for ``left``: two passes over its nodes."""
+def build_blocked_index(g: Graph, left: Sequence[int]) -> tuple[int, ...]:
+    """The pool chain ``(unplaced, A_0, ..., A_{n-k-2})`` of ``left``, as bitmasks.
+
+    ``unplaced`` holds the nodes off ``left``, and ``A_j`` those of them
+    adjacent to none of ``left[0..j]``. The pools are nested, so a node
+    leaves the chain at most once.
+    """
     masks = g.neighbor_masks
-    assignment = left.assignment
-    placed = 0
-    for u in assignment:
-        placed |= 1 << u
-    pool = unplaced = ((1 << g.n) - 1) ^ placed
-    pools = []
-    for u in assignment:
+    pool = (1 << g.n) - 1
+    for u in left:
+        pool &= ~(1 << u)
+    chain = [pool]
+    for u in left:
         pool &= ~masks[u]
-        pools.append(pool)
-    return BlockedIndex(unplaced, tuple(pools), g.n)
+        chain.append(pool)
+    return tuple(chain)
 
 
-def check_hall_and_build_right(index: BlockedIndex, n: int, k: int) -> list[int] | None:
+def check_hall_and_build_right(chain: Sequence[int], n: int, k: int) -> list[int] | None:
     """Feasibility check for the right positions, and the assignment when it holds.
 
-    Check ``j`` compares the popcount of the pool ``A_j`` with ``n-k-j-1``;
-    the first failing check returns ``None``. Only when every check passes
-    is ``right`` built, where ``right[j]`` is the node for position
-    ``k+j+1``: the last ``n-k-1`` nodes of the pools' layers in order,
-    each layer in ascending node id.
+    ``chain`` is :func:`build_blocked_index`'s. Check ``j`` compares the
+    popcount of the pool ``A_j = chain[j+1]`` with ``n-k-j-1``; the first
+    failing check returns ``None``. Only when every check passes is ``right``
+    built, where ``right[j]`` is the node for position ``k+j+1``: the last
+    ``n-k-1`` nodes of the chain's layers in order, each layer in ascending
+    node id.
     """
     width = need = n - k - 1
-    for pool in index.pools:
+    for pool in chain[1:]:
         if pool.bit_count() < need:
             return None
         need -= 1
@@ -177,7 +114,7 @@ def check_hall_and_build_right(index: BlockedIndex, n: int, k: int) -> list[int]
     # layer below it.
     right: list[int] = []
     above = 0
-    for pool in reversed((index.unplaced, *index.pools)):
+    for pool in reversed(chain):
         layer = pool & ~above
         above = pool
         while layer and len(right) < width:
@@ -188,36 +125,27 @@ def check_hall_and_build_right(index: BlockedIndex, n: int, k: int) -> list[int]
     return right
 
 
-def assemble_certificate(left: LeftPartialLayout, right: Sequence[int], g: Graph, k: int) -> Layout:
-    """Extend a feasible (left, right) pair to a full layout.
+def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k: int) -> list[int]:
+    """Extend a feasible (left, right) pair to a full layout, as a position -> node list.
 
     Left nodes take positions ``0..n-k-2`` and right nodes ``k+1..n-1``; the
     remaining ``2k-n+2`` nodes fill the middle positions ``n-k-1..k`` in
     ascending id order. Overlapping left/right images indicate a bug in the
     caller and raise ``RuntimeError``.
     """
-    n = g.n
-    inverse = [-1] * n
-    for i, v in enumerate(left.assignment):
-        inverse[i] = v
-    for j, v in enumerate(right):
-        inverse[k + 1 + j] = v
-    used = set(left.assignment)
+    used = set(left)
     used.update(right)
-    if len(used) != len(left.assignment) + len(right):
+    if len(used) != len(left) + len(right):
         raise RuntimeError("left and right partial layouts overlap; this should be unreachable")
-    middle = (v for v in range(n) if v not in used)
-    for pos in range(n - k - 1, k + 1):
-        inverse[pos] = next(middle)
-    return Layout.from_inverse(inverse)
+    return [*left, *(v for v in range(g.n) if v not in used), *right]
 
 
-def _solve_component(g: Graph, k: int) -> Layout | None:
-    # Full left-layout sweep over one connected component; None = infeasible.
+def _solve_component(g: Graph, k: int) -> list[int] | None:
+    # Full left-layout sweep over one connected component: the certificate
+    # as a position -> node list, or None = infeasible.
     n = g.n
     for left in enumerate_left_partial_layouts(g, k):
-        index = build_blocked_index(g, left)
-        right = check_hall_and_build_right(index, n, k)
+        right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
         if right is not None:
             return assemble_certificate(left, right, g, k)
     return None
@@ -271,10 +199,10 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
             raise OutOfRegimeError(
                 f"component of size {sub.n} needs k >= {(sub.n - 1) // 2}, got {k}"
             )
-        layout = _solve_component(sub, k)
-        if layout is None:
+        order = _solve_component(sub, k)
+        if order is None:
             return RecognitionResult(False, None, SEARCH_EXHAUSTED)
-        inverse.extend(mapping[v] for v in layout.inverse)
+        inverse.extend(mapping[v] for v in order)
 
     certificate = Layout.from_inverse(inverse)
     # An explicit check, not an assert, so the certificate is re-checked under -O too.

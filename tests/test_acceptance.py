@@ -24,12 +24,7 @@ from bandrec.generate import (
 )
 from bandrec.graph import layout_bandwidth
 from bandrec.io import write_graph_text
-from bandrec.recognition import (
-    LeftPartialLayout,
-    build_blocked_index,
-    check_hall_and_build_right,
-    recognize,
-)
+from bandrec.recognition import build_blocked_index, check_hall_and_build_right, recognize
 from conftest import all_graphs, random_graph, regime_ks
 
 
@@ -117,10 +112,10 @@ def test_criterion_4_closed_form_bound_values():
 
 def _feasible_right_exists(g, k, left):
     width = g.n - k - 1
-    rest = [v for v in range(g.n) if v not in left.members]
+    rest = [v for v in range(g.n) if v not in left]
     for right in permutations(rest, width):
         if all(
-            not g.adjacent(left.assignment[i], right[j])
+            not g.adjacent(left[i], right[j])
             for i in range(width)
             for j in range(i, width)
         ):
@@ -136,7 +131,7 @@ def test_criterion_5_hall_check_equivalence():
         g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
         k = int(rng.integers((n - 1) // 2, n - 1))
         assignment = tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
-        left = LeftPartialLayout.from_assignment(assignment)
+        left = tuple(assignment)
         right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
         if (right is not None) != _feasible_right_exists(g, k, left):
             mismatches += 1

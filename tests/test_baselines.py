@@ -74,7 +74,12 @@ class TestNaiveRecognition:
         def engine(*args, **kwargs):
             raise AssertionError("the oracle called into the engine")
 
-        for name in ("LeftPartialLayout", "enumerate_left_partial_layouts", "assemble_certificate"):
+        for name in (
+            "enumerate_left_partial_layouts",
+            "build_blocked_index",
+            "check_hall_and_build_right",
+            "assemble_certificate",
+        ):
             monkeypatch.setattr(recognition, name, engine)
         g = cycle_graph(5)
         assert_certified(g, 2, naive_recognition(g, 2))

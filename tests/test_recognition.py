@@ -22,11 +22,10 @@ from bandrec.families import (
     star_graph,
 )
 from bandrec.generate import GenParams, generate_negative_case, random_banded_matrix
-from bandrec.graph import Graph, Layout, layout_bandwidth
+from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import (
     BOUNDS_CUTOFF,
     SEARCH_EXHAUSTED,
-    LeftPartialLayout,
     OutOfRegimeError,
     assemble_certificate,
     build_blocked_index,
@@ -37,8 +36,24 @@ from bandrec.recognition import (
 from conftest import assert_certified, random_graph, regime_ks
 
 
-def left(assignment):
-    return LeftPartialLayout.from_assignment(assignment)
+def blocked_values(chain, n):
+    """Node -> smallest left index adjacent to it, or ``n`` when none is, read
+    off a pool chain: the nodes that leave it at ``A_j = chain[j+1]`` get
+    ``j``, and those in the last pool get ``n``. Ascending node ids."""
+    blocked = {}
+    for j, (pool, after) in enumerate(zip(chain, chain[1:])):
+        for v in range(n):
+            if pool >> v & 1 and not after >> v & 1:
+                blocked[v] = j
+    for v in range(n):
+        if chain[-1] >> v & 1:
+            blocked[v] = n
+    return dict(sorted(blocked.items()))
+
+
+def by_blocked_then_id(blocked):
+    """The unplaced nodes by nondecreasing blocked value, ties by ascending id."""
+    return sorted(blocked, key=lambda v: (blocked[v], v))
 
 
 @st.composite
@@ -48,19 +63,23 @@ def graph_k_left(draw, min_n: int = 4, max_n: int = 9):
     pairs = list(combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     k = draw(st.integers((n - 1) // 2, n - 2))
-    assignment = tuple(draw(st.permutations(range(n)))[: n - k - 1])
-    return Graph(n, edges), k, left(assignment)
+    left = tuple(draw(st.permutations(range(n)))[: n - k - 1])
+    return Graph(n, edges), k, left
 
 
-def feasible_right_exists(g, k, lft):
+def random_left(rng, n, k):
+    return tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
+
+
+def feasible_right_exists(g, k, left):
     """Brute-force ground truth: some compatible right assignment passes the
     direct every-far-pair edge test."""
     n = g.n
     width = n - k - 1
-    rest = [v for v in range(n) if v not in lft.members]
+    rest = [v for v in range(n) if v not in left]
     for right in permutations(rest, width):
         if all(
-            not g.adjacent(lft.assignment[i], right[j])
+            not g.adjacent(left[i], right[j])
             for i in range(width)
             for j in range(i, width)
         ):
@@ -70,7 +89,7 @@ def feasible_right_exists(g, k, lft):
 
 class TestEnumeration:
     def test_single_position_assignments(self):
-        got = [pl.assignment for pl in enumerate_left_partial_layouts(empty_graph(5), 3)]
+        got = list(enumerate_left_partial_layouts(empty_graph(5), 3))
         assert got == [(0,), (1,), (2,), (3,), (4,)]
 
     @pytest.mark.parametrize(
@@ -88,101 +107,103 @@ class TestEnumeration:
                 assert sum(1 for _ in stream) == factorial(n) // factorial(k + 1)
 
     def test_unique_and_lexicographic(self):
-        seen = [pl.assignment for pl in enumerate_left_partial_layouts(empty_graph(6), 3)]
+        seen = list(enumerate_left_partial_layouts(empty_graph(6), 3))
         assert len(set(seen)) == len(seen)
         assert seen == sorted(seen)
 
-    def test_members_match_assignment(self):
-        for pl in enumerate_left_partial_layouts(empty_graph(5), 2):
-            assert pl.members == frozenset(pl.assignment)
-            assert len(pl.assignment) == 2
+    def test_each_left_is_distinct_nodes(self):
+        for n in range(2, 8):
+            for k in regime_ks(n):
+                for left in enumerate_left_partial_layouts(empty_graph(n), k):
+                    assert isinstance(left, tuple)
+                    assert len(left) == len(set(left)) == n - k - 1
+                    assert set(left) <= set(range(n))
 
     @pytest.mark.parametrize("k", [-1, 1, 5])
     def test_out_of_range_k_rejected(self, k):
         with pytest.raises(ValueError):
             next(iter(enumerate_left_partial_layouts(empty_graph(6), k)))
 
-    def test_injectivity_validated(self):
-        with pytest.raises(ValueError):
-            LeftPartialLayout.from_assignment((1, 1))
-
 
 class TestBlockedIndex:
     def test_edgeless_all_sentinel(self):
-        g = empty_graph(6)
-        index = build_blocked_index(g, left((0, 1)))
-        assert index.sentinel == 6
-        assert index.blocked_of == {2: 6, 3: 6, 4: 6, 5: 6}
-        assert index.sorted_nodes == [2, 3, 4, 5]
+        chain = build_blocked_index(empty_graph(6), (0, 1))
+        assert chain == (0b111100, 0b111100, 0b111100)
+        assert blocked_values(chain, 6) == {2: 6, 3: 6, 4: 6, 5: 6}
 
     def test_complete_all_blocked_at_zero(self):
-        index = build_blocked_index(complete_graph(5), left((2,)))
-        assert index.blocked_of == {0: 0, 1: 0, 3: 0, 4: 0}
+        chain = build_blocked_index(complete_graph(5), (2,))
+        assert blocked_values(chain, 5) == {0: 0, 1: 0, 3: 0, 4: 0}
 
     def test_star_leaves_blocked_by_centre(self):
-        index = build_blocked_index(star_graph(4), left((0, 1)))
-        assert index.blocked_of == {2: 0, 3: 0, 4: 0}
+        chain = build_blocked_index(star_graph(4), (0, 1))
+        assert blocked_values(chain, 5) == {2: 0, 3: 0, 4: 0}
 
     def test_minimum_index_wins(self):
         # node 4 adjacent to both left nodes; the smaller index is recorded
         g = Graph(5, [(0, 4), (1, 4), (1, 3)])
-        index = build_blocked_index(g, left((0, 1)))
-        assert index.blocked_of == {2: 5, 3: 1, 4: 0}
-        assert index.sorted_nodes == [4, 3, 2]
-        assert index.sorted_values == [0, 1, 5]
+        chain = build_blocked_index(g, (0, 1))
+        assert blocked_values(chain, 5) == {2: 5, 3: 1, 4: 0}
+        assert check_hall_and_build_right(chain, 5, 2) == [3, 2]
+
+    def test_repeated_node_stays_placed(self):
+        # clearing bits, not toggling them: a second 1 does not unplace it
+        chain = build_blocked_index(empty_graph(4), (1, 1))
+        assert chain[0] == 0b1101
 
     def test_stable_tie_break_by_node_id(self, rng):
-        for _ in range(30):
+        checked = 0
+        for _ in range(60):
             n = int(rng.integers(6, 11))
             g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
             k = int(rng.integers((n - 1) // 2, n - 1))
-            assignment = tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
-            index = build_blocked_index(g, left(assignment))
-            keyed = [(index.blocked_of[v], v) for v in index.sorted_nodes]
-            assert keyed == sorted(keyed)
+            chain = build_blocked_index(g, random_left(rng, n, k))
+            right = check_hall_and_build_right(chain, n, k)
+            if right is not None:
+                assert right == by_blocked_then_id(blocked_values(chain, n))[-(n - k - 1) :]
+                checked += 1
+        assert checked > 0
 
     @given(graph_k_left())
     @settings(max_examples=80)
     def test_membership_law(self, case):
-        # v in A_j iff blocked_of[v] > j, with A_j computed from scratch
-        g, k, pl = case
-        index = build_blocked_index(g, pl)
-        assert len(index.sorted_nodes) == k + 1
-        assert index.sentinel == g.n
-        unplaced = [v for v in range(g.n) if v not in pl.members]
+        # v in A_j iff blocked_values[v] > j, with A_j computed from scratch
+        g, k, left = case
+        blocked = blocked_values(build_blocked_index(g, left), g.n)
+        assert len(blocked) == k + 1
+        assert set(blocked.values()) <= set(range(g.n - k - 1)) | {g.n}
+        unplaced = [v for v in range(g.n) if v not in left]
         for j in range(g.n - k - 1):
             a_j = {
                 v
                 for v in unplaced
-                if all(not g.adjacent(pl.assignment[i], v) for i in range(j + 1))
+                if all(not g.adjacent(left[i], v) for i in range(j + 1))
             }
-            assert a_j == {v for v in unplaced if index.blocked_of[v] > j}
+            assert a_j == {v for v in unplaced if blocked[v] > j}
 
 
 class TestHallCheck:
     def test_edgeless_feasible_with_tail_nodes(self):
-        g = empty_graph(6)
-        index = build_blocked_index(g, left((0, 1)))
-        right = check_hall_and_build_right(index, 6, 3)
-        assert right == index.sorted_nodes[-2:] == [4, 5]
+        chain = build_blocked_index(empty_graph(6), (0, 1))
+        right = check_hall_and_build_right(chain, 6, 3)
+        assert right == by_blocked_then_id(blocked_values(chain, 6))[-2:] == [4, 5]
 
     def test_complete_infeasible(self):
-        index = build_blocked_index(complete_graph(4), left((0,)))
-        assert check_hall_and_build_right(index, 4, 2) is None
+        chain = build_blocked_index(complete_graph(4), (0,))
+        assert check_hall_and_build_right(chain, 4, 2) is None
 
     @pytest.mark.parametrize("assignment", [(0, 2), (1, 4)])
     def test_cycle_infeasible_lefts(self, assignment):
         g = cycle_graph(5)
-        index = build_blocked_index(g, left(assignment))
-        assert check_hall_and_build_right(index, 5, 2) is None
-        assert not feasible_right_exists(g, 2, left(assignment))
+        assert check_hall_and_build_right(build_blocked_index(g, assignment), 5, 2) is None
+        assert not feasible_right_exists(g, 2, assignment)
 
     def test_cycle_has_some_feasible_left(self):
         g = cycle_graph(5)
         feasible = [
-            pl.assignment
-            for pl in enumerate_left_partial_layouts(g, 2)
-            if check_hall_and_build_right(build_blocked_index(g, pl), 5, 2) is not None
+            left
+            for left in enumerate_left_partial_layouts(g, 2)
+            if check_hall_and_build_right(build_blocked_index(g, left), 5, 2) is not None
         ]
         assert feasible  # the recognizer still succeeds overall
         assert (0, 1) in feasible
@@ -191,11 +212,11 @@ class TestHallCheck:
     @settings(max_examples=100, deadline=None)
     def test_matches_bruteforce_existence(self, case):
         # Presence of a constructed right == existence of any feasible right.
-        g, k, pl = case
-        right = check_hall_and_build_right(build_blocked_index(g, pl), g.n, k)
-        assert (right is not None) == feasible_right_exists(g, k, pl)
+        g, k, left = case
+        right = check_hall_and_build_right(build_blocked_index(g, left), g.n, k)
+        assert (right is not None) == feasible_right_exists(g, k, left)
         if right is not None:
-            cert = assemble_certificate(pl, right, g, k)
+            cert = Layout.from_inverse(assemble_certificate(left, right, g, k))
             assert layout_bandwidth(g, cert) <= k
 
     def test_nested_counts(self, rng):
@@ -204,30 +225,27 @@ class TestHallCheck:
             n = int(rng.integers(5, 11))
             g = random_graph(rng, n, 0.4)
             k = int(rng.integers((n - 1) // 2, n - 1))
-            assignment = tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
-            index = build_blocked_index(g, left(assignment))
-            sizes = [
-                sum(1 for v in index.sorted_nodes if index.blocked_of[v] > j)
-                for j in range(n - k - 1)
-            ]
+            blocked = blocked_values(build_blocked_index(g, random_left(rng, n, k)), n)
+            sizes = [sum(1 for v in blocked if blocked[v] > j) for j in range(n - k - 1)]
             assert sizes == sorted(sizes, reverse=True)
 
     def test_count_law_binary_search_vs_scan(self, rng):
-        from bisect import bisect_right
-
         for _ in range(20):
             n = int(rng.integers(5, 11))
             g = random_graph(rng, n, 0.5)
             k = int(rng.integers((n - 1) // 2, n - 1))
-            assignment = tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
-            index = build_blocked_index(g, left(assignment))
+            chain = build_blocked_index(g, random_left(rng, n, k))
+            blocked = blocked_values(chain, n)
+            values = [blocked[v] for v in by_blocked_then_id(blocked)]
             for j in range(n):
-                by_search = bisect_right(index.sorted_values, j)
-                by_scan = sum(1 for v in index.sorted_nodes if index.blocked_of[v] <= j)
+                by_search = bisect_right(values, j)
+                by_scan = sum(1 for v in blocked if blocked[v] <= j)
                 assert by_search == by_scan
+                if j < n - k - 1:
+                    assert by_scan == chain[0].bit_count() - chain[j + 1].bit_count()
 
 
-def right_by_sort_and_bisect(g, k, lft):
+def right_by_sort_and_bisect(g, k, left):
     """The Hall check as first written: blocked values from an edge scan, the
     unplaced nodes sorted stably by them, each count a binary search, and the
     last n-k-1 nodes of the sorted order as the right assignment."""
@@ -235,8 +253,8 @@ def right_by_sort_and_bisect(g, k, lft):
     width = n - k - 1
     blocked = {}
     for v in range(n):
-        if v not in lft.members:
-            hits = [i for i, u in enumerate(lft.assignment) if g.adjacent(u, v)]
+        if v not in left:
+            hits = [i for i, u in enumerate(left) if g.adjacent(u, v)]
             blocked[v] = hits[0] if hits else n
     nodes = sorted(blocked, key=blocked.__getitem__)
     values = [blocked[v] for v in nodes]
@@ -246,20 +264,33 @@ def right_by_sort_and_bisect(g, k, lft):
     return nodes[len(nodes) - width :]
 
 
+def certificate_by_reference(g, k):
+    """The sweep's certificate, built without the engine: the first
+    lexicographic left whose sort-and-bisect check passes, then the middle
+    nodes in ascending id, then that right; None when no left passes."""
+    for left in permutations(range(g.n), g.n - k - 1):
+        right = right_by_sort_and_bisect(g, k, left)
+        if right is not None:
+            middle = [v for v in range(g.n) if v not in left and v not in right]
+            return (*left, *middle, *right)
+    return None
+
+
 class TestPools:
     @given(graph_k_left(max_n=10))
     @settings(max_examples=100)
     def test_pools_are_the_candidate_sets(self, case):
-        # pools[j] is A_j: the unplaced nodes adjacent to none of left[0..j]
-        g, k, pl = case
-        index = build_blocked_index(g, pl)
-        assert len(index.pools) == g.n - k - 1
-        for j, pool in enumerate(index.pools):
+        # chain[0] is the unplaced set, chain[j+1] is A_j: the unplaced nodes
+        # adjacent to none of left[0..j]
+        g, k, left = case
+        chain = build_blocked_index(g, left)
+        assert len(chain) == g.n - k
+        assert chain[0] == sum(1 << v for v in range(g.n) if v not in left)
+        for j, pool in enumerate(chain[1:]):
             a_j = sum(
                 1 << v
                 for v in range(g.n)
-                if v not in pl.members
-                and all(not g.adjacent(pl.assignment[i], v) for i in range(j + 1))
+                if v not in left and all(not g.adjacent(left[i], v) for i in range(j + 1))
             )
             assert pool == a_j
 
@@ -269,9 +300,9 @@ class TestPools:
             n = int(rng.integers(3, 11))
             g = random_graph(rng, n, float(rng.uniform(0.1, 0.7)))
             k = int(rng.integers((n - 1) // 2, n - 1))
-            pl = left(int(v) for v in rng.permutation(n)[: n - k - 1])
-            right = check_hall_and_build_right(build_blocked_index(g, pl), n, k)
-            assert right == right_by_sort_and_bisect(g, k, pl)
+            left = random_left(rng, n, k)
+            right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
+            assert right == right_by_sort_and_bisect(g, k, left)
             passed += right is not None
         assert 0 < passed < 400
 
@@ -279,18 +310,18 @@ class TestPools:
 class TestAssembleCertificate:
     def test_edgeless_identity(self):
         g = empty_graph(6)
-        cert = assemble_certificate(left((0, 1)), [4, 5], g, 3)
-        assert cert.inverse == (0, 1, 2, 3, 4, 5)
-        assert layout_bandwidth(g, cert) == 0
+        cert = assemble_certificate((0, 1), [4, 5], g, 3)
+        assert cert == [0, 1, 2, 3, 4, 5]
+        assert layout_bandwidth(g, Layout.from_inverse(cert)) == 0
 
     def test_single_middle_slot(self):
-        cert = assemble_certificate(left((3, 1)), [0, 2], empty_graph(5), 2)
+        cert = assemble_certificate((3, 1), [0, 2], empty_graph(5), 2)
         # positions: left 0..1, middle 2, right 3..4
-        assert cert.inverse == (3, 1, 4, 0, 2)
+        assert cert == [3, 1, 4, 0, 2]
 
     def test_overlap_is_a_bug(self):
         with pytest.raises(RuntimeError):
-            assemble_certificate(left((0, 1)), [1, 5], empty_graph(6), 3)
+            assemble_certificate((0, 1), [1, 5], empty_graph(6), 3)
 
 
 class TestRecognize:
@@ -378,6 +409,37 @@ class TestRecognize:
         assert result.negative_reason == BOUNDS_CUTOFF
         assert solved == []
 
+    def test_certificates_match_the_reference_sweep(self, rng):
+        # Byte for byte: the same left, middle and right as the sweep's
+        # definition, on connected graphs at every regime k.
+        searched = 0
+        while searched < 60:
+            n = int(rng.integers(3, 10))
+            g = random_graph(rng, n, float(rng.uniform(0.2, 0.7)))
+            if len(connected_components(g)) != 1:
+                continue
+            searched += 1
+            for k in regime_ks(n):
+                result = recognize(g, k)
+                expected = certificate_by_reference(g, k)
+                assert result.verdict == (expected is not None), f"n={n} k={k} edges={g.edges}"
+                if expected is not None:
+                    assert result.certificate.inverse == expected, f"n={n} k={k} edges={g.edges}"
+
+    def test_affirmative_builds_one_layout(self, monkeypatch):
+        built = []
+        init = Layout.__init__
+
+        def counting_init(self, forward):
+            built.append(tuple(forward))
+            init(self, forward)
+
+        monkeypatch.setattr(Layout, "__init__", counting_init)
+        g = cycle_graph(5)
+        result = recognize(g, 2)
+        assert built == [result.certificate.inverse]
+        assert layout_bandwidth(g, result.certificate) <= 2
+
     def test_disconnected_certificate_concatenation(self):
         # two C_5 copies: beta = 2, solvable per component at k = 2
         edges = list(cycle_graph(5).edges) + [(u + 5, v + 5) for u, v in cycle_graph(5).edges]
@@ -439,9 +501,8 @@ class TestRecognize:
                 sys.exit("asserts are on; expected python -O")
             from bandrec import recognition
             from bandrec.families import path_graph
-            from bandrec.graph import Layout
 
-            recognition._solve_component = lambda sub, k: Layout.identity(sub.n)
+            recognition._solve_component = lambda sub, k: list(range(sub.n))
             g = path_graph(6).relabeled([0, 5, 1, 4, 2, 3])
             try:
                 recognition.recognize(g, 4)
