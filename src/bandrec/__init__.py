@@ -16,13 +16,7 @@ from .generate import (
     generate_negative_case,
     random_banded_matrix,
 )
-from .graph import (
-    Graph,
-    Layout,
-    bfs_layers,
-    connected_components,
-    layout_bandwidth,
-)
+from .graph import Graph, Layout, connected_components, layout_bandwidth
 from .io import GraphParseError, parse_graph_file, parse_graph_text, write_graph_file, write_graph_text
 from .recognition import (
     BOUNDS_CUTOFF,
@@ -47,7 +41,6 @@ __all__ = [
     "SEARCH_EXHAUSTED",
     "alpha_bound",
     "bandwidth_bounds",
-    "bfs_layers",
     "connected_components",
     "exact_bandwidth_bruteforce",
     "generate_affirmative_case",

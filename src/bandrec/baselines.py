@@ -11,7 +11,9 @@ independent to disagree with.
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import cache
+from itertools import chain, permutations
+from math import factorial
 
 import numpy as np
 
@@ -19,8 +21,6 @@ from .graph import Graph, Layout, _integer
 from .recognition import SEARCH_EXHAUSTED, OutOfRegimeError, RecognitionResult
 
 BRUTEFORCE_MAX_NODES = 9
-
-_layout_rows_cache: dict[int, np.ndarray] = {}
 
 
 def naive_recognition(g: Graph, k: int) -> RecognitionResult:
@@ -60,13 +60,13 @@ def naive_recognition(g: Graph, k: int) -> RecognitionResult:
     return RecognitionResult(False, None, SEARCH_EXHAUSTED)
 
 
+@cache
 def _layout_rows(n: int) -> np.ndarray:
-    # All n! node->position maps, one per row; cached per process.
-    rows = _layout_rows_cache.get(n)
-    if rows is None:
-        rows = np.array(list(permutations(range(n))), dtype=np.int8)
-        _layout_rows_cache[n] = rows
-    return rows
+    # All n! node->position maps, one per row; cached per process. The rows
+    # stream straight into the int8 array: a list of n! tuples first would
+    # take about 54 MB at n = 9, against the array's 3.3 MB.
+    flat = chain.from_iterable(permutations(range(n)))
+    return np.fromiter(flat, np.int8, count=n * factorial(n)).reshape(-1, n)
 
 
 def exact_bandwidth_bruteforce(g: Graph) -> int:
@@ -85,6 +85,11 @@ def exact_bandwidth_bruteforce(g: Graph) -> int:
         return 0
     pos = _layout_rows(g.n)
     worst = np.zeros(len(pos), dtype=np.int8)
+    # One gap buffer for every edge: a fresh n!-entry temporary per edge is
+    # mapped and freed each time, which nearly doubles the call.
+    gap = np.empty_like(worst)
     for u, v in g.edges:
-        np.maximum(worst, np.abs(pos[:, u] - pos[:, v]), out=worst)
+        np.subtract(pos[:, u], pos[:, v], out=gap)
+        np.abs(gap, out=gap)
+        np.maximum(worst, gap, out=worst)
     return int(worst.min())

@@ -95,7 +95,8 @@ class BenchConfig:
     seed: int = 0
     kinds: tuple[str, ...] = (AFFIRMATIVE, NEGATIVE)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        # Checked at construction, so an unusable config cannot exist.
         if not self.sizes or any(n < 2 for n in self.sizes):
             raise BenchConfigError("sizes must be nonempty with every n >= 2")
         if self.cases_per_pair < 1:
@@ -155,13 +156,16 @@ def _verdict_worker(conn, n: int, edges: tuple, k: int, algorithm: str) -> None:
         conn.close()
 
 
-def solve_with_timeout(g: Graph, k: int, algorithm: str, timeout_s: float) -> tuple[str, bool | None]:
-    """Run one solve in a separate process; ('solved'|'tle'|'error', verdict).
+def solve_with_timeout(
+    g: Graph, k: int, algorithm: str, timeout_s: float
+) -> tuple[str, bool | None, str | None]:
+    """Run one solve in a separate process; ('solved'|'tle'|'error', verdict, error).
 
-    The wall clock starts before the child is spawned, so process startup
-    counts against the budget and a run is solved only if its verdict
-    arrives inside the window; a degenerate budget therefore yields tle no
-    matter how fast the child is.
+    The verdict is set only for solved runs, and the error text (the child's
+    ``repr`` of its exception) only for error runs. The wall clock starts
+    before the child is spawned, so process startup counts against the
+    budget and a run is solved only if its verdict arrives inside the window;
+    a degenerate budget therefore yields tle no matter how fast the child is.
     """
     receiver, sender = mp.Pipe(duplex=False)
     proc = mp.Process(target=_verdict_worker, args=(sender, g.n, g.edges, k, algorithm))
@@ -172,12 +176,12 @@ def solve_with_timeout(g: Graph, k: int, algorithm: str, timeout_s: float) -> tu
         remaining = timeout_s - (time.perf_counter() - start)
         arrived = receiver.poll(max(0.0, remaining))
         if not arrived or time.perf_counter() - start > timeout_s:
-            return "tle", None
+            return "tle", None, None
         try:
             tag, payload = receiver.recv()
         except EOFError:  # child died before reporting
-            return "error", None
-        return ("solved", payload) if tag == "ok" else ("error", None)
+            return "error", None, "the solver process exited without a result"
+        return ("solved", payload, None) if tag == "ok" else ("error", None, payload)
     finally:
         if proc.is_alive():
             proc.terminate()
@@ -201,7 +205,6 @@ def time_solve(g: Graph, k: int, algorithm: str, repetitions: int) -> int:
 
 def run_bench(config: BenchConfig, progress: Callable[[str], None] | None = None) -> list[BenchRecord]:
     """Generate, verify, and time every configured cell; returns all records."""
-    config.validate()
     say = progress or (lambda _msg: None)
     records: list[BenchRecord] = []
     for kind, n, k in config.cells():
@@ -210,14 +213,19 @@ def run_bench(config: BenchConfig, progress: Callable[[str], None] | None = None
             g, used_seed = _generate_instance(kind, n, k, seed)
             iid = f"{kind[:3]}-n{n}-k{k}-i{index:03d}"
             for algorithm in config.algorithms:
-                status, verdict = solve_with_timeout(g, k, algorithm, config.timeout_s)
+                status, verdict, error = solve_with_timeout(g, k, algorithm, config.timeout_s)
                 if status == "solved":
                     ns = time_solve(g, k, algorithm, config.repetitions)
                     record = BenchRecord(iid, n, k, kind, algorithm, used_seed, "solved", verdict, ns)
                 else:
                     record = BenchRecord(iid, n, k, kind, algorithm, used_seed, status)
                 records.append(record)
-                say(f"{iid} {algorithm}: {status}" + (f" {record.min_runtime_ns} ns" if record.min_runtime_ns else ""))
+                line = f"{iid} {algorithm}: {status}"
+                if record.min_runtime_ns:
+                    line += f" {record.min_runtime_ns} ns"
+                elif error:
+                    line += f" {error}"
+                say(line)
     return records
 
 

@@ -2,17 +2,19 @@
 
 Both bounds scan every node's cumulative neighbourhood sizes: a node with
 many nodes within distance d forces large label gaps no matter how it is
-placed. One bitmask BFS per node ORs each reachable node's mask once, so
-the sweep costs O(n^2) big-integer operations and O(n) auxiliary space. For a
-disconnected graph the scan is confined to each node's own component, which
-keeps both quantities valid lower bounds on the overall bandwidth.
+placed. The sweep reads the graph's frontier walk directly, one bitmask BFS
+per node that ORs each reachable node's mask once and adds up each layer's
+popcount, so it costs O(n^2) big-integer operations and O(n) auxiliary
+space. For a disconnected graph the scan is confined to each node's own
+component, which keeps both quantities valid lower bounds on the overall
+bandwidth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, bfs_layers
+from .graph import Graph, _frontier_walk
 
 
 @dataclass(frozen=True)
@@ -43,7 +45,9 @@ def gamma_bound(g: Graph) -> int:
 def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     """Compute both bounds in a single sweep over the nodes.
 
-    Per node ``v`` the sweep takes ``c_v = max_d ceil(|N_d(v)| / d)``. Since
+    Per node ``v`` the sweep takes ``c_v = max_d ceil(|N_d(v)| / d)``, where
+    ``N_d(v)`` holds the nodes at distance 1 to ``d`` from ``v``: its size is
+    the running sum of the popcounts of the frontier walk's layers. Since
     ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling is
     monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
     ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``.
@@ -51,8 +55,9 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     high = 0
     low = g.n  # above every c_v, which is at most n-1
     for v in range(g.n):
-        c = 0
-        for d, size in enumerate(bfs_layers(g, v), start=1):
+        c = size = 0
+        for d, layer in enumerate(_frontier_walk(g, v), start=1):
+            size += layer.bit_count()
             ratio = -(-size // d)
             if ratio > c:
                 c = ratio

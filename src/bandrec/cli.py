@@ -78,15 +78,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="falls back to BANDREC_SEED, then 0")
     p.add_argument("--output", required=True, help="destination graph file")
 
+    # The bench defaults are BenchConfig's own, so they are stated once.
+    stock = BenchConfig()
     p = sub.add_parser("bench", help="run the benchmark harness")
-    p.add_argument("--sizes", type=_int_list, default=[10, 12], help="comma-separated n values")
-    p.add_argument("--k-offsets-affirmative", type=_int_list, default=[-6, -4, -2], metavar="OFFSETS")
-    p.add_argument("--k-offsets-negative", type=_int_list, default=[-6, -4], metavar="OFFSETS")
+    p.add_argument("--sizes", type=_int_list, default=stock.sizes, help="comma-separated n values")
+    p.add_argument("--k-offsets-affirmative", type=_int_list, default=stock.affirmative_offsets, metavar="OFFSETS")
+    p.add_argument("--k-offsets-negative", type=_int_list, default=stock.negative_offsets, metavar="OFFSETS")
     p.add_argument("--kinds", choices=[AFFIRMATIVE, NEGATIVE, "both"], default="both")
-    p.add_argument("--cases", type=int, default=5, help="instances per (n, k, kind) cell")
-    p.add_argument("--timeout", type=float, default=10.0, help="per-solve wall-clock timeout in seconds")
-    p.add_argument("--reps", type=int, default=5, help="timing repetitions per solved run (min is kept)")
-    p.add_argument("--algorithms", default="hall", help=f"comma-separated subset of {sorted(ALGORITHMS)}")
+    p.add_argument("--cases", type=int, default=stock.cases_per_pair, help="instances per (n, k, kind) cell")
+    p.add_argument(
+        "--timeout", type=float, default=stock.timeout_s, help="per-solve wall-clock timeout in seconds"
+    )
+    p.add_argument(
+        "--reps", type=int, default=stock.repetitions, help="timing repetitions per solved run (min is kept)"
+    )
+    p.add_argument(
+        "--algorithms", default=",".join(stock.algorithms), help=f"comma-separated subset of {sorted(ALGORITHMS)}"
+    )
     p.add_argument("--seed", type=int, default=None, help="falls back to BANDREC_SEED, then 0")
     p.add_argument("--output", required=True, help="CSV destination")
     p.add_argument("--format", choices=["csv", "table"], default="table", help="what to print on stdout")
@@ -151,7 +159,6 @@ def _cmd_bench(args) -> int:
         seed=_resolve_seed(args.seed),
         kinds=kinds,
     )
-    config.validate()
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     try:
         # open up front so a bad path fails before hours of benchmarking

@@ -3,17 +3,14 @@
 Nodes are dense integers ``0..n-1``; any external labelling must be resolved
 before construction. Graphs are undirected, simple (no self-loops), and
 immutable once built. Adjacency is kept in one form, per-node bitmasks:
-edge queries test one bit, and breadth-first traversals grow a frontier by
-OR-ing the masks of its nodes, so neighbour lists and degrees are derived
-from the masks rather than stored beside them.
+edge queries test one bit, degrees are popcounts, and breadth-first
+traversals grow a frontier by OR-ing the masks of its nodes.
 """
 
 from __future__ import annotations
 
 import operator
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 
 def _integer(v: object, what: str) -> int:
@@ -55,7 +52,7 @@ class Graph:
         out-of-range endpoints raise ``ValueError``.
 
     The per-node bitmasks (:attr:`neighbor_masks`) are the only stored
-    adjacency; :meth:`neighbors` and :meth:`degree` read them. Instances are
+    adjacency; :meth:`adjacent` and :meth:`degree` read them. Instances are
     immutable and safe to share across threads.
     """
 
@@ -97,19 +94,8 @@ class Graph:
         """Constant-time edge query."""
         return bool(self._masks[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        """Sorted neighbours of ``v``."""
-        return tuple(_bits(self._masks[v]))
-
     def degree(self, v: int) -> int:
         return self._masks[v].bit_count()
-
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (symmetric, zero diagonal)."""
-        a = np.zeros((self.n, self.n), dtype=bool)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = True
-        return a
 
     def relabeled(self, mapping: Sequence[int]) -> "Graph":
         """Graph with node ``v`` renamed to ``mapping[v]``; mapping must be a bijection."""
@@ -268,19 +254,3 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
         unassigned ^= member
         components.append(tuple(_bits(member)))
     return tuple(components)
-
-
-def bfs_layers(g: Graph, source: int) -> list[int]:
-    """Cumulative hop-neighbourhood sizes from ``source``.
-
-    Entry ``d-1`` counts the nodes at distance between 1 and ``d`` from
-    ``source`` (the source itself is excluded), for ``d`` up to the source's
-    eccentricity within its component. Isolated sources yield ``[]``.
-    """
-    source = _node(source, g.n)
-    cumulative: list[int] = []
-    total = 0
-    for layer in _frontier_walk(g, source):
-        total += layer.bit_count()
-        cumulative.append(total)
-    return cumulative

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bandrec import recognition
 from bandrec.baselines import (
     BRUTEFORCE_MAX_NODES,
+    _layout_rows,
     exact_bandwidth_bruteforce,
     naive_recognition,
 )
@@ -40,6 +43,18 @@ class TestExactBandwidthBruteforce:
             beta = exact_bandwidth_bruteforce(g)
             assert 0 <= beta <= n - 1
             assert (beta == 0) == (g.m == 0)
+
+    def test_nine_nodes_stay_small(self):
+        # The 9! rows take 3.3 MB as int8; listing them as tuples first
+        # peaked near 56 MiB.
+        _layout_rows.cache_clear()
+        tracemalloc.start()
+        try:
+            assert exact_bandwidth_bruteforce(cycle_graph(9)) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_component_maximum(self, rng):
         # beta of a disconnected graph is the max over its components

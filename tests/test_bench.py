@@ -2,6 +2,7 @@ import io
 
 import pytest
 
+from bandrec import bench
 from bandrec.bench import (
     AFFIRMATIVE,
     CSV_COLUMNS,
@@ -47,7 +48,7 @@ class TestBenchRecord:
 
 class TestConfigValidation:
     def test_defaults_are_valid(self):
-        BenchConfig().validate()
+        BenchConfig()
 
     @pytest.mark.parametrize(
         "overrides",
@@ -64,7 +65,7 @@ class TestConfigValidation:
     )
     def test_rejects(self, overrides):
         with pytest.raises(BenchConfigError):
-            small_config(**overrides).validate()
+            small_config(**overrides)
 
 
 class TestInstanceSeeds:
@@ -83,19 +84,17 @@ class TestInstanceSeeds:
 
 class TestSolveWithTimeout:
     def test_solved_true_and_false(self):
-        status, verdict = solve_with_timeout(cycle_graph(5), 2, "hall", 10.0)
-        assert (status, verdict) == ("solved", True)
-        status, verdict = solve_with_timeout(complete_graph(5), 3, "hall", 10.0)
-        assert (status, verdict) == ("solved", False)
+        assert solve_with_timeout(cycle_graph(5), 2, "hall", 10.0) == ("solved", True, None)
+        assert solve_with_timeout(complete_graph(5), 3, "hall", 10.0) == ("solved", False, None)
 
     def test_degenerate_timeout_is_tle(self):
-        status, verdict = solve_with_timeout(cycle_graph(5), 2, "hall", 1e-9)
-        assert (status, verdict) == ("tle", None)
+        assert solve_with_timeout(cycle_graph(5), 2, "hall", 1e-9) == ("tle", None, None)
 
     def test_worker_exception_is_error(self):
-        # k = -1 raises inside the child
-        status, verdict = solve_with_timeout(cycle_graph(5), -1, "hall", 10.0)
+        # k = -1 raises inside the child, and its text comes back
+        status, verdict, error = solve_with_timeout(cycle_graph(5), -1, "hall", 10.0)
         assert (status, verdict) == ("error", None)
+        assert "k must be nonnegative" in error
 
 
 def test_time_solve_returns_minimum_positive():
@@ -147,6 +146,13 @@ class TestRunBench:
         first = run_bench(small_config())
         second = run_bench(small_config())
         assert [sans_timing(r) for r in first] == [sans_timing(r) for r in second]
+
+    def test_error_text_on_progress_line(self, monkeypatch):
+        monkeypatch.setattr(bench, "solve_with_timeout", lambda *args: ("error", None, "ValueError('boom')"))
+        lines = []
+        (record,) = run_bench(small_config(cases_per_pair=1), progress=lines.append)
+        assert record.status == "error" and record.verdict is None
+        assert lines == [f"{record.instance_id} hall: error ValueError('boom')"]
 
     def test_summary_shape(self):
         records = run_bench(small_config())

@@ -1,9 +1,12 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from bandrec import cli
+from bandrec.bench import BenchConfig
 from bandrec.cli import main
 from bandrec.families import complete_graph, empty_graph, path_graph
 from bandrec.io import parse_graph_file, write_graph_file
@@ -119,6 +122,18 @@ class TestBenchCommand:
         ]
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_defaults_come_from_bench_config(self, tmp_path, monkeypatch):
+        built = []
+
+        def capture(config, progress=None):
+            built.append(config)
+            return []
+
+        monkeypatch.setattr(cli, "run_bench", capture)
+        assert main(["bench", "--output", str(tmp_path / "x.csv"), "--quiet"]) == 0
+        (config,) = built
+        assert config == replace(BenchConfig(), seed=config.seed)
 
     def test_unwritable_output(self, tmp_path):
         argv = [

@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandrec.families import complete_graph, empty_graph, path_graph
-from bandrec.graph import (
-    Graph,
-    Layout,
-    bfs_layers,
-    connected_components,
-    layout_bandwidth,
-)
+from bandrec.graph import Graph, Layout, _frontier_walk, connected_components, layout_bandwidth
 from conftest import distances_by_scan
+
+
+def cumulative_sizes(g, v):
+    # Entry d-1 counts the nodes at distance 1 to d from v, as the bounds
+    # sweep adds them up from the frontier walk.
+    sizes, total = [], 0
+    for layer in _frontier_walk(g, v):
+        total += layer.bit_count()
+        sizes.append(total)
+    return sizes
 
 
 @st.composite
@@ -52,7 +56,6 @@ class TestGraphConstruction:
         assert g.edges == ((0, 70),)
         assert all(type(x) is int for x in g.edges[0])
         assert (0, 70) in connected_components(g)
-        assert bfs_layers(g, np.int64(70)) == [1]
 
     def test_rejects_bool_endpoint(self):
         with pytest.raises(TypeError, match="bool"):
@@ -71,15 +74,7 @@ class TestGraphConstruction:
                 assert g.adjacent(u, v) == (((min(u, v), max(u, v)) in set(g.edges)) and u != v)
         for v in range(g.n):
             listed = sorted({w for edge in g.edges if v in edge for w in edge} - {v})
-            assert g.neighbors(v) == tuple(listed)
             assert g.degree(v) == len(listed)
-
-    def test_adjacency_matrix_matches_masks(self):
-        g = Graph(5, [(0, 1), (1, 4), (2, 3)])
-        a = g.adjacency_matrix()
-        for u in range(5):
-            for v in range(5):
-                assert bool(a[u, v]) == g.adjacent(u, v)
 
     def test_relabeled_preserves_structure(self):
         g = Graph(4, [(0, 1), (2, 3)])
@@ -238,28 +233,19 @@ class TestConnectedComponents:
 
 class TestBfsLayers:
     def test_path(self):
-        assert bfs_layers(path_graph(5), 0) == [1, 2, 3, 4]
+        assert cumulative_sizes(path_graph(5), 0) == [1, 2, 3, 4]
 
     def test_complete(self):
-        assert bfs_layers(complete_graph(5), 0) == [4]
+        assert cumulative_sizes(complete_graph(5), 0) == [4]
 
     def test_isolated(self):
-        assert bfs_layers(empty_graph(3), 1) == []
-
-    def test_out_of_range_source(self):
-        with pytest.raises(ValueError):
-            bfs_layers(path_graph(3), 3)
-
-    @pytest.mark.parametrize("source", [True, 1.0])
-    def test_rejects_non_integer_source(self, source):
-        with pytest.raises(TypeError):
-            bfs_layers(path_graph(3), source)
+        assert cumulative_sizes(empty_graph(3), 1) == []
 
     @given(graphs())
     def test_strictly_increasing_up_to_component(self, g):
         size_of = {v: len(comp) for comp in connected_components(g) for v in comp}
         for v in range(g.n):
-            layers = bfs_layers(g, v)
+            layers = cumulative_sizes(g, v)
             assert all(a < b for a, b in zip(layers, layers[1:]))
             component_size = size_of[v]
             if component_size == 1:
@@ -274,4 +260,4 @@ class TestBfsLayers:
             finite = [d for d in dist[v] if 0 < d < float("inf")]
             ecc = max(finite, default=0)
             expected = [sum(1 for d in finite if d <= r) for r in range(1, ecc + 1)]
-            assert bfs_layers(g, v) == expected
+            assert cumulative_sizes(g, v) == expected
