@@ -134,8 +134,9 @@ def generate_negative_case(
 
     Repeatedly draws psi from {k+1, k+2, k+3} and p from [0.85, 0.95] until
     the sample satisfies max(alpha, gamma) <= k and bandwidth > k. The
-    bandwidth check uses the brute-force oracle when n permits and the
-    recognizer itself otherwise. Requires k <= n-4 (wider targets would make
+    bandwidth check uses the brute-force oracle when n permits, whose value
+    is kept as ``meta["bandwidth"]``, and the recognizer itself otherwise
+    (no such key). Requires k <= n-4 (wider targets would make
     rejection astronomically slow). Raises :class:`GenerationError` when the
     attempt budget is exhausted.
     """
@@ -152,7 +153,8 @@ def generate_negative_case(
             continue
         if n <= BRUTEFORCE_MAX_NODES:
             verifier = "bruteforce"
-            exceeds = exact_bandwidth_bruteforce(g) > k
+            bandwidth = exact_bandwidth_bruteforce(g)
+            exceeds = bandwidth > k
         else:
             verifier = "recognize"
             exceeds = not recognize(g, k).verdict
@@ -167,5 +169,7 @@ def generate_negative_case(
                 "attempts": attempt,
                 "verifier": verifier,
             }
+            if verifier == "bruteforce":
+                meta["bandwidth"] = bandwidth
             return g, meta
     raise GenerationError(f"no negative instance found in {max_attempts} attempts")

@@ -120,15 +120,25 @@ class Graph:
         masks = self._masks
         # Each edge once, from its smaller end: the member bits of masks[u]
         # above u. The set-bit loop is inlined, as in _frontier_walk, to spare
-        # a generator per node.
+        # a generator per node. Ascending u and ascending bits emit the edges
+        # valid, normalised and sorted, so the copy is built without
+        # __init__, whose checks would only repeat that work.
         sub_edges = []
+        sub_masks = [0] * len(mapping)
         for i, u in enumerate(mapping):
             above = masks[u] & (member >> (u + 1) << (u + 1))
             while above:
                 low = above & -above
-                sub_edges.append((i, local[low.bit_length() - 1]))
+                j = local[low.bit_length() - 1]
+                sub_edges.append((i, j))
+                sub_masks[i] |= 1 << j
+                sub_masks[j] |= 1 << i
                 above ^= low
-        return Graph(len(mapping), sub_edges), mapping
+        sub = object.__new__(Graph)
+        object.__setattr__(sub, "n", len(mapping))
+        object.__setattr__(sub, "edges", tuple(sub_edges))
+        object.__setattr__(sub, "_masks", tuple(sub_masks))
+        return sub, mapping
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

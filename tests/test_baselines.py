@@ -1,17 +1,21 @@
 import tracemalloc
+from itertools import combinations, permutations
+from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bandrec import recognition
 from bandrec.baselines import (
     BRUTEFORCE_MAX_NODES,
-    _layout_rows,
+    _half_table,
     exact_bandwidth_bruteforce,
     naive_recognition,
 )
 from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
-from bandrec.graph import Graph, Layout, connected_components
+from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import SEARCH_EXHAUSTED, OutOfRegimeError, recognize
 from conftest import assert_certified, random_graph, regime_ks
 
@@ -45,16 +49,35 @@ class TestExactBandwidthBruteforce:
             assert (beta == 0) == (g.m == 0)
 
     def test_nine_nodes_stay_small(self):
-        # The 9! rows take 3.3 MB as int8; listing them as tuples first
-        # peaked near 56 MiB.
-        _layout_rows.cache_clear()
+        # The 9!/2 columns take 1.6 MB as int8 and are built a block at a
+        # time; listing all 9! layouts as tuples first peaked near 56 MiB.
+        _half_table.cache_clear()
         tracemalloc.start()
         try:
             assert exact_bandwidth_bruteforce(cycle_graph(9)) == 2
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 6 * 2**20
+
+    @pytest.mark.parametrize("n", range(2, BRUTEFORCE_MAX_NODES + 1))
+    def test_half_table(self, n):
+        pos = _half_table(n)
+        assert pos.shape == (n, factorial(n) // 2)
+        assert pos.dtype == np.int8
+        assert (np.sort(pos, axis=0) == np.arange(n)[:, None]).all()
+        assert np.unique(pos, axis=1).shape[1] == pos.shape[1]
+        assert (pos[0] < pos[1]).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_every_layout(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=7))
+        pairs = list(combinations(range(n), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges)
+        reference = min(layout_bandwidth(g, Layout(p)) for p in permutations(range(n)))
+        assert exact_bandwidth_bruteforce(g) == reference
 
     def test_component_maximum(self, rng):
         # beta of a disconnected graph is the max over its components

@@ -1,5 +1,6 @@
 import pytest
 
+from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.bounds import bandwidth_bounds
 from bandrec.families import complete_graph
 from bandrec.generate import (
@@ -103,6 +104,17 @@ class TestNegativeCases:
         g, meta = generate_negative_case(8, 4, seed=2)
         assert meta["verifier"] == "bruteforce"
         assert not recognize(g, 4).verdict
+
+    @pytest.mark.parametrize("n,k,seed", [(8, 4, 2), (9, 4, 1), (9, 5, 3), (7, 3, 4)])
+    def test_bruteforce_value_kept(self, n, k, seed):
+        g, meta = generate_negative_case(n, k, seed=seed)
+        assert meta["bandwidth"] == exact_bandwidth_bruteforce(g)
+        assert meta["bandwidth"] > k
+
+    def test_recognize_verifier_keeps_no_value(self):
+        _, meta = generate_negative_case(12, 8, seed=21)
+        assert meta["verifier"] == "recognize"
+        assert "bandwidth" not in meta
 
     def test_reproducible(self):
         a, meta_a = generate_negative_case(12, 8, seed=5)

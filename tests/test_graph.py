@@ -139,6 +139,11 @@ class TestSubgraphReference:
                 assert mapping == ref_mapping
                 assert sub == ref_sub
                 assert sub.neighbor_masks == ref_sub.neighbor_masks
+                # The copy skips Graph.__init__; its own edges, run through
+                # the checked constructor, must come back unchanged.
+                checked = Graph(len(mapping), sub.edges)
+                assert sub.edges == checked.edges
+                assert sub.neighbor_masks == checked.neighbor_masks
 
 
 class TestLayout:
