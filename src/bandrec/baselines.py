@@ -7,8 +7,10 @@ position pairs for edges. ``exact_bandwidth_bruteforce`` minimises the
 layout bandwidth over every layout outright, read from a cached
 column-major table of the n!/2 layouts that put node 0 left of node 1
 (each other layout is the reverse of one of these). Both are meant for
-small n, and neither shares code with the fast path, so they have
-something independent to disagree with.
+small n. They share only the ``k`` input checks with the fast path
+(:func:`~bandrec.recognition.coerce_k` and
+:func:`~bandrec.recognition.require_regime`), so they have something
+independent to disagree with.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from math import factorial
 
 import numpy as np
 
-from .graph import Graph, Layout, _integer
-from .recognition import SEARCH_EXHAUSTED, OutOfRegimeError, RecognitionResult
+from .graph import Graph, Layout
+from .recognition import SEARCH_EXHAUSTED, RecognitionResult, coerce_k, require_regime
 
 BRUTEFORCE_MAX_NODES = 9
 
@@ -31,16 +33,16 @@ def naive_recognition(g: Graph, k: int) -> RecognitionResult:
     O(n^(2(n-k))) time; intended for n <= 10. Left layouts fill positions
     ``0..n-k-2`` and right layouts ``k+1..n-1``, both in lexicographic order;
     the first compatible pair is completed with the middle nodes in ascending
-    id. ``k`` is checked as :func:`~bandrec.recognition.recognize` checks it.
+    id. ``k`` is coerced as :func:`~bandrec.recognition.recognize` coerces
+    it, but the regime floor applies to the whole graph, not per component:
+    a disconnected graph that ``recognize`` decides can raise
+    :class:`~bandrec.recognition.OutOfRegimeError` here.
     """
     n = g.n
-    k = _integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = coerce_k(k)
     if k >= n - 1:
         return RecognitionResult(True, Layout.identity(n))
-    if k < (n - 1) // 2:
-        raise OutOfRegimeError(f"graph of size {n} needs k >= {(n - 1) // 2}, got {k}")
+    require_regime(n, k)
 
     masks = g.neighbor_masks
     width = n - k - 1

@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .baselines import naive_recognition
-from .generate import GenerationError, generate_affirmative_case, generate_negative_case
+from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
 from .graph import Graph
 from .recognition import recognize
 
@@ -45,8 +45,6 @@ CSV_COLUMNS = (
     "min_runtime_ns",
 )
 
-AFFIRMATIVE = "affirmative"
-NEGATIVE = "negative"
 _KIND_CODES = {AFFIRMATIVE: 0, NEGATIVE: 1}
 
 ALGORITHMS: dict[str, Callable[[Graph, int], Any]] = {
@@ -93,7 +91,6 @@ class BenchConfig:
     repetitions: int = 5
     algorithms: tuple[str, ...] = ("hall",)
     seed: int = 0
-    kinds: tuple[str, ...] = (AFFIRMATIVE, NEGATIVE)
 
     def __post_init__(self) -> None:
         # Checked at construction, so an unusable config cannot exist.
@@ -108,19 +105,19 @@ class BenchConfig:
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if not self.algorithms or unknown:
             raise BenchConfigError(f"unknown algorithms: {sorted(unknown)}" if unknown else "no algorithms selected")
-        if not self.kinds or set(self.kinds) - set(_KIND_CODES):
-            raise BenchConfigError(f"kinds must be drawn from {sorted(_KIND_CODES)}")
+        if self.seed < 0:
+            raise BenchConfigError(f"seed must be nonnegative, got {self.seed}")
+        if not self.affirmative_offsets and not self.negative_offsets:
+            raise BenchConfigError("no k offsets for either case kind")
         for kind, n, k in self.cells():
-            lo = (n - 1) // 2
-            hi = n - 4 if kind == NEGATIVE else n - 1
-            if not (lo <= k <= hi):
-                raise BenchConfigError(
-                    f"{kind} cell (n={n}, k={k}) outside the usable range [{lo}, {hi}]"
-                )
+            try:
+                check_case(kind, n, k)
+            except ValueError as exc:
+                raise BenchConfigError(f"{kind} cell (n={n}, k={k}): {exc}") from exc
 
     def cells(self) -> Iterable[tuple[str, int, int]]:
-        for kind in self.kinds:
-            offsets = self.affirmative_offsets if kind == AFFIRMATIVE else self.negative_offsets
+        # An empty offset tuple skips its kind.
+        for kind, offsets in ((AFFIRMATIVE, self.affirmative_offsets), (NEGATIVE, self.negative_offsets)):
             for n in self.sizes:
                 for off in offsets:
                     yield kind, n, n + off
@@ -134,11 +131,10 @@ def instance_seed(master: int, kind: str, n: int, k: int, index: int) -> int:
 
 
 def _generate_instance(kind: str, n: int, k: int, seed: int) -> tuple[Graph, int]:
-    gen = generate_affirmative_case if kind == AFFIRMATIVE else generate_negative_case
     current = seed
     for _ in range(GENERATION_RESEEDS):
         try:
-            g, _meta = gen(n, k, current)
+            g, _meta = GENERATORS[kind](n, k, current)
             return g, current
         except GenerationError:
             # Deterministic reseed: walk the same 64-bit space.

@@ -13,27 +13,12 @@ import os
 import sys
 
 from .baselines import exact_bandwidth_bruteforce
-from .bench import (
-    AFFIRMATIVE,
-    ALGORITHMS,
-    NEGATIVE,
-    BenchConfig,
-    BenchConfigError,
-    run_bench,
-    summarize,
-    write_records_csv,
-)
+from .bench import ALGORITHMS, BenchConfig, BenchConfigError, run_bench, summarize, write_records_csv
 from .bounds import bandwidth_bounds
-from .generate import (
-    GenerationError,
-    GenParams,
-    generate_affirmative_case,
-    generate_negative_case,
-    random_banded_matrix,
-)
+from .generate import GENERATORS, GenerationError, GenParams, random_banded_matrix
 from .graph import layout_bandwidth
-from .io import GraphParseError, parse_graph_file, write_graph_file
-from .recognition import OutOfRegimeError, recognize
+from .io import parse_graph_file, write_graph_file
+from .recognition import recognize
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -70,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
 
     p = sub.add_parser("gen", help="generate an instance and write it as a graph file")
-    p.add_argument("--kind", choices=["banded", "affirmative", "negative"], default="banded")
+    p.add_argument("--kind", choices=["banded", *GENERATORS], default="banded")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="target bandwidth (affirmative/negative kinds)")
     p.add_argument("--psi", type=int, help="band half-width (banded kind)")
@@ -84,7 +69,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", type=_int_list, default=stock.sizes, help="comma-separated n values")
     p.add_argument("--k-offsets-affirmative", type=_int_list, default=stock.affirmative_offsets, metavar="OFFSETS")
     p.add_argument("--k-offsets-negative", type=_int_list, default=stock.negative_offsets, metavar="OFFSETS")
-    p.add_argument("--kinds", choices=[AFFIRMATIVE, NEGATIVE, "both"], default="both")
     p.add_argument("--cases", type=int, default=stock.cases_per_pair, help="instances per (n, k, kind) cell")
     p.add_argument(
         "--timeout", type=float, default=stock.timeout_s, help="per-solve wall-clock timeout in seconds"
@@ -139,15 +123,13 @@ def _cmd_gen(args) -> int:
     else:
         if args.k is None:
             raise ValueError(f"{args.kind} generation needs --k")
-        gen = generate_affirmative_case if args.kind == "affirmative" else generate_negative_case
-        g, _meta = gen(args.n, args.k, seed)
+        g, _meta = GENERATORS[args.kind](args.n, args.k, seed)
     write_graph_file(g, args.output)
     print(f"wrote {args.output} (n={g.n}, m={g.m})")
     return EXIT_TRUE
 
 
 def _cmd_bench(args) -> int:
-    kinds = (AFFIRMATIVE, NEGATIVE) if args.kinds == "both" else (args.kinds,)
     config = BenchConfig(
         sizes=tuple(args.sizes),
         affirmative_offsets=tuple(args.k_offsets_affirmative),
@@ -157,7 +139,6 @@ def _cmd_bench(args) -> int:
         repetitions=args.reps,
         algorithms=tuple(tok for tok in args.algorithms.split(",") if tok),
         seed=_resolve_seed(args.seed),
-        kinds=kinds,
     )
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     try:
@@ -186,16 +167,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The package's typed input errors (GraphParseError, OutOfRegimeError,
+    # BenchConfigError) are all ValueErrors.
     try:
         return _COMMANDS[args.command](args)
-    except (
-        GraphParseError,
-        OutOfRegimeError,
-        GenerationError,
-        BenchConfigError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, GenerationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -8,6 +8,8 @@ with random layouts until the identity labelling stops being a witness, so
 a recognizer has to actually find one. Negative cases rejection-sample
 denser, wider bands until the bandwidth provably exceeds k while both lower
 bounds stay at or below k, which rules out trivial bounds-based dismissal.
+The two case kinds, the ``k`` range of each (:func:`check_case`) and the
+generator of each (``GENERATORS``) are defined here for the whole package.
 
 All draws come from numpy's seeded default generator (PCG64), so a given
 seed reproduces the same instance on any platform. Entry points that need
@@ -24,10 +26,18 @@ import numpy as np
 from .baselines import BRUTEFORCE_MAX_NODES, exact_bandwidth_bruteforce
 from .bounds import bandwidth_bounds
 from .graph import Graph, Layout, layout_bandwidth
-from .recognition import recognize
+from .recognition import recognize, regime_floor, require_regime
+
+AFFIRMATIVE = "affirmative"
+NEGATIVE = "negative"
 
 AFFIRMATIVE_SCRAMBLE_BUDGET = 1000
 NEGATIVE_SAMPLE_BUDGET = 200
+
+# Each kind's largest k is n minus its gap. Affirmative: no labelling of n
+# nodes has bandwidth above n-1, so no scramble can beat k = n-1. Negative:
+# wider targets make the rejection sampling astronomically slow.
+_CEILING_GAPS = {AFFIRMATIVE: 2, NEGATIVE: 4}
 
 
 class GenerationError(RuntimeError):
@@ -76,40 +86,39 @@ def random_banded_matrix(params: GenParams) -> Graph:
     return Graph(n, edges)
 
 
-def _check_regime(n: int, k: int) -> None:
-    if k < (n - 1) // 2:
-        raise ValueError(f"k={k} below the supported regime floor {(n - 1) // 2} for n={n}")
+def check_case(kind: str, n: int, k: int) -> None:
+    """Raise ``ValueError`` unless ``k`` is in the range of ``kind`` cases on
+    ``n`` nodes: from the regime floor (below it, :class:`OutOfRegimeError`)
+    to ``n-2`` for affirmative and ``n-4`` for negative cases."""
+    require_regime(n, k)
+    ceiling = n - _CEILING_GAPS[kind]
+    if k > ceiling:
+        raise ValueError(f"{kind} cases need k in [{regime_floor(n)}, {ceiling}] for n={n}, got k={k}")
 
 
-def generate_affirmative_case(
-    n: int,
-    k: int,
-    seed: int,
-    max_scramble_attempts: int = AFFIRMATIVE_SCRAMBLE_BUDGET,
-) -> tuple[Graph, dict[str, Any]]:
+def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, Any]]:
     """Instance with bandwidth <= k whose identity labelling exceeds k.
 
     Draws psi uniformly from {k-2, k-1, k} (clamped at 0) and p from
     [0.3, 0.6], builds a banded graph, then relabels it with random layouts
-    until the identity labelling is no longer a bandwidth-k witness. Raises
+    until the identity labelling is no longer a bandwidth-k witness. ``k``
+    is checked by :func:`check_case` before any draw. Raises
     :class:`GenerationError` when the scramble budget runs out (possible for
     near-edgeless draws; callers reseed).
     """
-    _check_regime(n, k)
-    if k > n - 1:
-        raise ValueError(f"k={k} exceeds the maximum bandwidth {n - 1}")
+    check_case(AFFIRMATIVE, n, k)
     rng = np.random.default_rng(seed)
     psi = int(rng.integers(max(0, k - 2), k + 1))
     p = float(rng.uniform(0.3, 0.6))
     band_seed = int(rng.integers(0, 2**63))
     g = random_banded_matrix(GenParams(n, psi, p, band_seed))
-    for attempt in range(1, max_scramble_attempts + 1):
+    for attempt in range(1, AFFIRMATIVE_SCRAMBLE_BUDGET + 1):
         relabeling = [int(x) for x in rng.permutation(n)]
         h = g.relabeled(relabeling)
         identity_bandwidth = layout_bandwidth(h, Layout.identity(n))
         if identity_bandwidth > k:
             meta = {
-                "kind": "affirmative",
+                "kind": AFFIRMATIVE,
                 "n": n,
                 "k": k,
                 "psi": psi,
@@ -120,31 +129,23 @@ def generate_affirmative_case(
             }
             return h, meta
     raise GenerationError(
-        f"no scramble of the drawn graph exceeded k={k} after {max_scramble_attempts} layouts"
+        f"no scramble of the drawn graph exceeded k={k} after {AFFIRMATIVE_SCRAMBLE_BUDGET} layouts"
     )
 
 
-def generate_negative_case(
-    n: int,
-    k: int,
-    seed: int,
-    max_attempts: int = NEGATIVE_SAMPLE_BUDGET,
-) -> tuple[Graph, dict[str, Any]]:
+def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, Any]]:
     """Instance with bandwidth > k that both lower bounds fail to expose.
 
     Repeatedly draws psi from {k+1, k+2, k+3} and p from [0.85, 0.95] until
     the sample satisfies max(alpha, gamma) <= k and bandwidth > k. The
     bandwidth check uses the brute-force oracle when n permits, whose value
     is kept as ``meta["bandwidth"]``, and the recognizer itself otherwise
-    (no such key). Requires k <= n-4 (wider targets would make
-    rejection astronomically slow). Raises :class:`GenerationError` when the
-    attempt budget is exhausted.
+    (no such key). ``k`` is checked by :func:`check_case` before any draw.
+    Raises :class:`GenerationError` when the attempt budget is exhausted.
     """
-    _check_regime(n, k)
-    if k > n - 4:
-        raise ValueError(f"negative cases require k <= n-4, got k={k} for n={n}")
+    check_case(NEGATIVE, n, k)
     rng = np.random.default_rng(seed)
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, NEGATIVE_SAMPLE_BUDGET + 1):
         psi = int(rng.integers(k + 1, k + 4))
         p = float(rng.uniform(0.85, 0.95))
         band_seed = int(rng.integers(0, 2**63))
@@ -160,7 +161,7 @@ def generate_negative_case(
             exceeds = not recognize(g, k).verdict
         if exceeds:
             meta = {
-                "kind": "negative",
+                "kind": NEGATIVE,
                 "n": n,
                 "k": k,
                 "psi": psi,
@@ -172,4 +173,7 @@ def generate_negative_case(
             if verifier == "bruteforce":
                 meta["bandwidth"] = bandwidth
             return g, meta
-    raise GenerationError(f"no negative instance found in {max_attempts} attempts")
+    raise GenerationError(f"no negative instance found in {NEGATIVE_SAMPLE_BUDGET} attempts")
+
+
+GENERATORS = {AFFIRMATIVE: generate_affirmative_case, NEGATIVE: generate_negative_case}

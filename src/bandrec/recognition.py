@@ -48,6 +48,26 @@ class OutOfRegimeError(ValueError):
     reason = OUT_OF_REGIME
 
 
+def coerce_k(k) -> int:
+    """``k`` coerced like a node id (``operator.index``; ``bool`` or a
+    non-integer raises ``TypeError``); a negative ``k`` raises ``ValueError``."""
+    k = _integer(k, "k")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return k
+
+
+def regime_floor(size: int) -> int:
+    """The least ``k`` the method handles on ``size`` nodes: ``floor((size-1)/2)``."""
+    return (size - 1) // 2
+
+
+def require_regime(size: int, k: int) -> None:
+    """Raise :class:`OutOfRegimeError` when ``k`` is below ``regime_floor(size)``."""
+    if k < regime_floor(size):
+        raise OutOfRegimeError(f"size {size} needs k >= {regime_floor(size)}, got k={k}")
+
+
 @dataclass(frozen=True)
 class RecognitionResult:
     """Verdict plus certificate layout (on success) or the reason it failed.
@@ -67,12 +87,14 @@ def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[tuple[int, ...]
 
     A left partial layout is the tuple of ``n-k-1`` distinct nodes for the
     positions ``0..n-k-2``. The stream is lexicographic and contains exactly
-    ``n! / (k+1)!`` tuples; only O(n) state is held at a time. A ``k``
-    outside the enumerable range raises ``ValueError`` on the first ``next``.
+    ``n! / (k+1)!`` tuples; only O(n) state is held at a time. On the first
+    ``next``, a ``k`` below the regime floor raises :class:`OutOfRegimeError`
+    and one above ``n-2`` (no left positions) raises ``ValueError``.
     """
     n = g.n
-    if not ((n - 1) // 2 <= k <= n - 2):
-        raise ValueError(f"k={k} outside the enumerable range [{(n - 1) // 2}, {n - 2}] for n={n}")
+    require_regime(n, k)
+    if k > n - 2:
+        raise ValueError(f"k={k} leaves no left positions to enumerate for n={n}")
     yield from permutations(range(n), n - k - 1)
 
 
@@ -157,8 +179,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     Requires ``k >= floor((n_C - 1) / 2)`` for every connected component of
     size ``n_C`` that actually needs searching; other inputs raise
     :class:`OutOfRegimeError`. ``k >= n-1`` is accepted and trivially true.
-    ``k`` is coerced like a node id: ``operator.index``, and ``bool`` or a
-    non-integer raises ``TypeError``.
+    ``k`` goes through :func:`coerce_k`.
 
     The verdict is exact. Every component with ``k < n_C - 1`` gets its lower
     bounds once, before any search or regime error: if one exceeds ``k`` the
@@ -168,9 +189,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     enumeration reports ``search_exhausted``.
     """
     n = g.n
-    k = _integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    k = coerce_k(k)
     if k >= n - 1:
         return RecognitionResult(True, Layout.identity(n))
 
@@ -195,10 +214,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
         if sub is None:
             inverse.extend(mapping)
             continue
-        if k < (sub.n - 1) // 2:
-            raise OutOfRegimeError(
-                f"component of size {sub.n} needs k >= {(sub.n - 1) // 2}, got {k}"
-            )
+        require_regime(sub.n, k)
         order = _solve_component(sub, k)
         if order is None:
             return RecognitionResult(False, None, SEARCH_EXHAUSTED)

@@ -129,6 +129,15 @@ class TestNaiveRecognition:
         with pytest.raises(ValueError):
             naive_recognition(path_graph(3), -1)
 
+    def test_regime_floor_is_on_the_whole_graph(self):
+        # Two disjoint C_5 at k=2: each component's floor is 2, so recognize
+        # decides it, but the 10-node graph's floor is 4, so the oracle refuses.
+        c5 = cycle_graph(5).edges
+        g = Graph(10, list(c5) + [(u + 5, v + 5) for u, v in c5])
+        assert_certified(g, 2, recognize(g, 2))
+        with pytest.raises(OutOfRegimeError):
+            naive_recognition(g, 2)
+
     def test_agreement_harness(self, rng):
         # 200 random graphs across n = 6..10, every regime k; the weighting
         # keeps the O(n^(2(n-k))) negatives affordable.

@@ -25,13 +25,12 @@ def small_config(**overrides):
     base = dict(
         sizes=(12,),
         affirmative_offsets=(-2,),
-        negative_offsets=(-4,),
+        negative_offsets=(),
         cases_per_pair=2,
         timeout_s=10.0,
         repetitions=3,
         algorithms=("hall",),
         seed=7,
-        kinds=(AFFIRMATIVE,),
     )
     base.update(overrides)
     return BenchConfig(**base)
@@ -58,9 +57,11 @@ class TestConfigValidation:
             dict(timeout_s=0.0),
             dict(repetitions=2),
             dict(algorithms=("quantum",)),
-            dict(kinds=("maybe",)),
+            dict(affirmative_offsets=(), negative_offsets=()),  # no cells at all
             dict(affirmative_offsets=(-9,)),  # k below the regime floor
-            dict(kinds=(NEGATIVE,), negative_offsets=(-2,)),  # k > n-4
+            dict(affirmative_offsets=(), negative_offsets=(-2,)),  # k > n-4
+            dict(seed=-1),
+            dict(sizes=(8,), affirmative_offsets=(-1,)),  # k = n-1: no scramble beats it
         ],
     )
     def test_rejects(self, overrides):
@@ -118,7 +119,7 @@ class TestRunBench:
             assert record.verdict is True  # affirmative instances
 
     def test_negative_kind_verdicts(self):
-        records = run_bench(small_config(kinds=(NEGATIVE,), negative_offsets=(-4,), sizes=(10,)))
+        records = run_bench(small_config(affirmative_offsets=(), negative_offsets=(-4,), sizes=(10,)))
         assert records
         for record in records:
             assert record.status == "solved"

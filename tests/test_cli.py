@@ -84,6 +84,12 @@ class TestOtherCommands:
         assert main(base + ["--seed", "321", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gen_affirmative_k_out_of_range(self, tmp_path, capsys):
+        argv = ["gen", "--kind", "affirmative", "--n", "10", "--k", "9", "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "[4, 8]" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_gen_missing_params(self, tmp_path):
         assert main(["gen", "--kind", "banded", "--n", "5", "--output", str(tmp_path / "x")]) == 2
         assert main(["gen", "--kind", "negative", "--n", "12", "--output", str(tmp_path / "x")]) == 2
@@ -94,7 +100,7 @@ class TestBenchCommand:
         out = tmp_path / "bench.csv"
         argv = [
             "bench", "--sizes", "12", "--k-offsets-affirmative", "-2",
-            "--kinds", "affirmative", "--cases", "2", "--reps", "3",
+            "--k-offsets-negative=", "--cases", "2", "--reps", "3",
             "--seed", "9", "--output", str(out), "--quiet",
         ]
         assert main(argv) == 0
@@ -108,7 +114,7 @@ class TestBenchCommand:
         out = tmp_path / "bench.csv"
         argv = [
             "bench", "--sizes", "12", "--k-offsets-affirmative", "-2",
-            "--kinds", "affirmative", "--cases", "1", "--reps", "3",
+            "--k-offsets-negative=", "--cases", "1", "--reps", "3",
             "--seed", "9", "--output", str(out), "--format", "csv", "--quiet",
         ]
         assert main(argv) == 0
@@ -118,7 +124,7 @@ class TestBenchCommand:
     def test_invalid_config(self, tmp_path, capsys):
         argv = [
             "bench", "--sizes", "8", "--k-offsets-affirmative", "-7",
-            "--kinds", "affirmative", "--output", str(tmp_path / "x.csv"), "--quiet",
+            "--k-offsets-negative=", "--output", str(tmp_path / "x.csv"), "--quiet",
         ]
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
@@ -138,7 +144,7 @@ class TestBenchCommand:
     def test_unwritable_output(self, tmp_path):
         argv = [
             "bench", "--sizes", "12", "--k-offsets-affirmative", "-2",
-            "--kinds", "affirmative", "--cases", "1", "--reps", "3",
+            "--k-offsets-negative=", "--cases", "1", "--reps", "3",
             "--seed", "9", "--output", str(tmp_path / "missing_dir" / "x.csv"), "--quiet",
         ]
         assert main(argv) == 2

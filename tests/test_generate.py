@@ -1,18 +1,26 @@
+from types import SimpleNamespace
+
 import pytest
 
+from bandrec import generate
 from bandrec.baselines import exact_bandwidth_bruteforce
+from bandrec.bench import BenchConfig, BenchConfigError
 from bandrec.bounds import bandwidth_bounds
 from bandrec.families import complete_graph
 from bandrec.generate import (
+    AFFIRMATIVE,
+    GENERATORS,
+    NEGATIVE,
     GenerationError,
     GenParams,
+    check_case,
     generate_affirmative_case,
     generate_negative_case,
     random_banded_matrix,
 )
 from bandrec.graph import Layout, layout_bandwidth
 from bandrec.io import write_graph_text
-from bandrec.recognition import SEARCH_EXHAUSTED, recognize
+from bandrec.recognition import SEARCH_EXHAUSTED, OutOfRegimeError, recognize
 from conftest import assert_certified
 
 
@@ -84,11 +92,17 @@ class TestAffirmativeCases:
         # psi is forced to 0 at n=2, k=0: the edgeless draw can never scramble
         # past bandwidth 0, so the retry budget must trip.
         with pytest.raises(GenerationError):
-            generate_affirmative_case(2, 0, seed=3, max_scramble_attempts=5)
+            generate_affirmative_case(2, 0, seed=3)
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
             generate_affirmative_case(12, 4, seed=0)
+
+    def test_k_n_minus_1_rejected_before_drawing(self, monkeypatch):
+        # The identity's bandwidth is at most n-1, so no scramble exceeds it.
+        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        with pytest.raises(ValueError, match=r"\[4, 8\]"):
+            generate_affirmative_case(10, 9, 0)
 
 
 class TestNegativeCases:
@@ -129,3 +143,55 @@ class TestNegativeCases:
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
             generate_negative_case(12, 3, seed=0)
+
+
+class _Drew(Exception):
+    """The stubbed generator was asked for random numbers: every check passed."""
+
+
+def _refuse_to_draw(seed):
+    raise _Drew
+
+
+_NO_DRAWS = SimpleNamespace(random=SimpleNamespace(default_rng=_refuse_to_draw))
+
+# Each kind's k range, written out here rather than read from the package:
+# from floor((n-1)/2), the regime floor, up to n-2 (affirmative) or n-4 (negative).
+RANGES = {
+    AFFIRMATIVE: lambda n: ((n - 1) // 2, n - 2),
+    NEGATIVE: lambda n: ((n - 1) // 2, n - 4),
+}
+
+
+def _cells():
+    for kind, bounds in RANGES.items():
+        for n in range(2, 15):
+            lo, hi = bounds(n)
+            for k in range(-1, n + 1):
+                yield kind, n, k, lo, hi
+
+
+class TestCaseRanges:
+    def test_generators_check_the_range_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        for kind, n, k, lo, hi in _cells():
+            if lo <= k <= hi:
+                check_case(kind, n, k)
+                with pytest.raises(_Drew):
+                    GENERATORS[kind](n, k, 0)
+            else:
+                error = OutOfRegimeError if k < lo else ValueError
+                with pytest.raises(error):
+                    check_case(kind, n, k)
+                with pytest.raises(error):
+                    GENERATORS[kind](n, k, 0)
+
+    def test_bench_config_rejects_the_same_cells(self):
+        for kind, n, k, lo, hi in _cells():
+            field = "affirmative_offsets" if kind == AFFIRMATIVE else "negative_offsets"
+            offsets = {"affirmative_offsets": (), "negative_offsets": (), field: (k - n,)}
+            if lo <= k <= hi:
+                BenchConfig(sizes=(n,), **offsets)
+            else:
+                with pytest.raises(BenchConfigError):
+                    BenchConfig(sizes=(n,), **offsets)
