@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-# A small benchmark run: seeded instances, subprocess-isolated verdict runs
-# under a wall-clock timeout, and minimum-of-repetitions timing.
+# A small benchmark run: seeded instances, each run in a child process that
+# times every repetition and keeps the minimum, all under one wall-clock
+# timeout per run.
 #
 # The equivalent CLI invocation:
 #   bandrec bench --sizes 10,12 --cases 3 --reps 3 --seed 42 --output /tmp/bench.csv

@@ -1,12 +1,14 @@
 """Timeout-governed benchmark harness over generated instances.
 
 For every configured (n, k, case kind) cell the harness generates seeded
-instances, establishes each algorithm's verdict in a separate process under
-a wall-clock timeout (a hung or slow run is killed without corrupting the
-parent), and then times solved runs in-process: the minimum of several
-repetitions on a monotonic nanosecond clock, which suppresses scheduler and
-cache noise better than a mean would. Results land in a CSV with one row
-per (instance, algorithm) run plus a printable per-cell summary.
+instances and runs each algorithm on each instance in a separate process
+under a wall-clock timeout, so a hung or slow run is killed without
+corrupting the parent. The child does all of a run's solving: it times
+every repetition on a monotonic nanosecond clock and reports the verdict
+with the minimum, which suppresses scheduler and cache noise better than a
+mean would. The timeout covers the whole run, repetitions included, and the
+parent never calls a solver. Results land in a CSV with one row per
+(instance, algorithm) run plus a printable per-cell summary.
 
 Reported times include the lower-bound computation the recognizer performs
 internally.
@@ -20,10 +22,11 @@ instances regardless of which cells are selected.
 from __future__ import annotations
 
 import csv
+import math
 import multiprocessing as mp
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -32,18 +35,6 @@ from .baselines import naive_recognition
 from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
 from .graph import Graph
 from .recognition import recognize
-
-CSV_COLUMNS = (
-    "instance_id",
-    "n",
-    "k",
-    "case_kind",
-    "algorithm",
-    "seed",
-    "status",
-    "verdict",
-    "min_runtime_ns",
-)
 
 _KIND_CODES = {AFFIRMATIVE: 0, NEGATIVE: 1}
 
@@ -81,6 +72,10 @@ class BenchRecord:
             raise ValueError("verdict and min_runtime_ns must be present exactly for solved rows")
 
 
+# The CSV columns are BenchRecord's fields, in order.
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+
+
 @dataclass(frozen=True)
 class BenchConfig:
     sizes: tuple[int, ...] = (10, 12)
@@ -98,8 +93,8 @@ class BenchConfig:
             raise BenchConfigError("sizes must be nonempty with every n >= 2")
         if self.cases_per_pair < 1:
             raise BenchConfigError("cases per pair must be at least 1")
-        if self.timeout_s <= 0:
-            raise BenchConfigError("timeout must be positive")
+        if not 0 < self.timeout_s < math.inf:  # also false for nan
+            raise BenchConfigError(f"timeout must be a finite positive number of seconds, got {self.timeout_s}")
         if self.repetitions < 3:
             raise BenchConfigError("timing needs at least 3 repetitions")
         unknown = set(self.algorithms) - set(ALGORITHMS)
@@ -142,29 +137,42 @@ def _generate_instance(kind: str, n: int, k: int, seed: int) -> tuple[Graph, int
     raise GenerationError(f"could not generate a {kind} instance for n={n}, k={k} from seed {seed}")
 
 
-def _verdict_worker(conn, n: int, edges: tuple, k: int, algorithm: str) -> None:
+def _solve_worker(conn, n: int, edges: tuple, k: int, algorithm: str, repetitions: int) -> None:
+    """Child body: ``repetitions`` timed solves, then one 4-tuple for ``solve_with_timeout``."""
     try:
-        result = ALGORITHMS[algorithm](Graph(n, edges), k)
-        conn.send(("ok", bool(result.verdict)))
+        g, solver = Graph(n, edges), ALGORITHMS[algorithm]
+        verdicts, times = set(), []
+        for _ in range(repetitions):
+            start = time.perf_counter_ns()
+            result = solver(g, k)
+            times.append(time.perf_counter_ns() - start)
+            verdicts.add(bool(result.verdict))
+        if len(verdicts) == 1:
+            conn.send(("solved", verdicts.pop(), min(times), None))
+        else:
+            conn.send(("error", None, None, "the verdict changed between repetitions"))
     except Exception as exc:  # surfaced as an 'error' row in the parent
-        conn.send(("error", repr(exc)))
+        conn.send(("error", None, None, repr(exc)))
     finally:
         conn.close()
 
 
 def solve_with_timeout(
-    g: Graph, k: int, algorithm: str, timeout_s: float
-) -> tuple[str, bool | None, str | None]:
-    """Run one solve in a separate process; ('solved'|'tle'|'error', verdict, error).
+    g: Graph, k: int, algorithm: str, timeout_s: float, repetitions: int
+) -> tuple[str, bool | None, int | None, str | None]:
+    """One run in a separate process; ('solved'|'tle'|'error', verdict, min ns, error).
 
-    The verdict is set only for solved runs, and the error text (the child's
-    ``repr`` of its exception) only for error runs. The wall clock starts
-    before the child is spawned, so process startup counts against the
-    budget and a run is solved only if its verdict arrives inside the window;
-    a degenerate budget therefore yields tle no matter how fast the child is.
+    The child solves ``repetitions`` times and reports the verdict and the
+    minimum wall-clock nanoseconds of one solve; both are set only for solved
+    runs, and the error text (the child's ``repr`` of its exception, or a
+    note that the verdict changed between repetitions) only for error runs.
+    The wall clock starts before the child is spawned, so process startup and
+    every repetition count against the budget, and a run is solved only if
+    its result arrives inside the window; a degenerate budget therefore
+    yields tle no matter how fast the child is.
     """
     receiver, sender = mp.Pipe(duplex=False)
-    proc = mp.Process(target=_verdict_worker, args=(sender, g.n, g.edges, k, algorithm))
+    proc = mp.Process(target=_solve_worker, args=(sender, g.n, g.edges, k, algorithm, repetitions))
     start = time.perf_counter()
     proc.start()
     sender.close()
@@ -172,31 +180,16 @@ def solve_with_timeout(
         remaining = timeout_s - (time.perf_counter() - start)
         arrived = receiver.poll(max(0.0, remaining))
         if not arrived or time.perf_counter() - start > timeout_s:
-            return "tle", None, None
+            return "tle", None, None, None
         try:
-            tag, payload = receiver.recv()
+            return receiver.recv()
         except EOFError:  # child died before reporting
-            return "error", None, "the solver process exited without a result"
-        return ("solved", payload, None) if tag == "ok" else ("error", None, payload)
+            return "error", None, None, "the solver process exited without a result"
     finally:
         if proc.is_alive():
             proc.terminate()
         proc.join()
         receiver.close()
-
-
-def time_solve(g: Graph, k: int, algorithm: str, repetitions: int) -> int:
-    """Minimum wall-clock nanoseconds over ``repetitions`` in-process solves."""
-    solver = ALGORITHMS[algorithm]
-    best: int | None = None
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        solver(g, k)
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    assert best is not None
-    return best
 
 
 def run_bench(config: BenchConfig, progress: Callable[[str], None] | None = None) -> list[BenchRecord]:
@@ -209,16 +202,13 @@ def run_bench(config: BenchConfig, progress: Callable[[str], None] | None = None
             g, used_seed = _generate_instance(kind, n, k, seed)
             iid = f"{kind[:3]}-n{n}-k{k}-i{index:03d}"
             for algorithm in config.algorithms:
-                status, verdict, error = solve_with_timeout(g, k, algorithm, config.timeout_s)
-                if status == "solved":
-                    ns = time_solve(g, k, algorithm, config.repetitions)
-                    record = BenchRecord(iid, n, k, kind, algorithm, used_seed, "solved", verdict, ns)
-                else:
-                    record = BenchRecord(iid, n, k, kind, algorithm, used_seed, status)
-                records.append(record)
+                status, verdict, ns, error = solve_with_timeout(
+                    g, k, algorithm, config.timeout_s, config.repetitions
+                )
+                records.append(BenchRecord(iid, n, k, kind, algorithm, used_seed, status, verdict, ns))
                 line = f"{iid} {algorithm}: {status}"
-                if record.min_runtime_ns:
-                    line += f" {record.min_runtime_ns} ns"
+                if ns:
+                    line += f" {ns} ns"
                 elif error:
                     line += f" {error}"
                 say(line)
@@ -229,19 +219,9 @@ def write_records_csv(records: Sequence[BenchRecord], stream: TextIO) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        writer.writerow(
-            [
-                r.instance_id,
-                r.n,
-                r.k,
-                r.case_kind,
-                r.algorithm,
-                r.seed,
-                r.status,
-                "" if r.verdict is None else str(r.verdict).lower(),
-                "" if r.min_runtime_ns is None else r.min_runtime_ns,
-            ]
-        )
+        # csv writes None as an empty cell; booleans are written lowercase.
+        values = (getattr(r, name) for name in CSV_COLUMNS)
+        writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in values)
 
 
 def summarize(records: Sequence[BenchRecord]) -> str:

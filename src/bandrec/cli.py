@@ -30,10 +30,18 @@ def _int_list(text: str) -> list[int]:
 
 
 def _resolve_seed(value: int | None) -> int:
+    """--seed, else BANDREC_SEED, else 0; anything but a nonnegative integer is refused, naming its source."""
     if value is not None:
-        return value
-    env = os.environ.get("BANDREC_SEED")
-    return int(env) if env else 0
+        source, text = "--seed", value
+    else:
+        source, text = "BANDREC_SEED", os.environ.get("BANDREC_SEED") or "0"
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1  # refused below, like a negative seed
+    if seed < 0:
+        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-offsets-negative", type=_int_list, default=stock.negative_offsets, metavar="OFFSETS")
     p.add_argument("--cases", type=int, default=stock.cases_per_pair, help="instances per (n, k, kind) cell")
     p.add_argument(
-        "--timeout", type=float, default=stock.timeout_s, help="per-solve wall-clock timeout in seconds"
+        "--timeout", type=float, default=stock.timeout_s, help="per-run budget in seconds, covering every repetition"
     )
     p.add_argument(
         "--reps", type=int, default=stock.repetitions, help="timing repetitions per solved run (min is kept)"

@@ -1,4 +1,6 @@
 import io
+import multiprocessing as mp
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +16,6 @@ from bandrec.bench import (
     run_bench,
     solve_with_timeout,
     summarize,
-    time_solve,
     write_records_csv,
 )
 from bandrec.families import complete_graph, cycle_graph
@@ -62,6 +63,8 @@ class TestConfigValidation:
             dict(affirmative_offsets=(), negative_offsets=(-2,)),  # k > n-4
             dict(seed=-1),
             dict(sizes=(8,), affirmative_offsets=(-1,)),  # k = n-1: no scramble beats it
+            dict(timeout_s=float("nan")),
+            dict(timeout_s=float("inf")),
         ],
     )
     def test_rejects(self, overrides):
@@ -85,23 +88,36 @@ class TestInstanceSeeds:
 
 class TestSolveWithTimeout:
     def test_solved_true_and_false(self):
-        assert solve_with_timeout(cycle_graph(5), 2, "hall", 10.0) == ("solved", True, None)
-        assert solve_with_timeout(complete_graph(5), 3, "hall", 10.0) == ("solved", False, None)
+        status, verdict, _ns, error = solve_with_timeout(cycle_graph(5), 2, "hall", 10.0, 3)
+        assert (status, verdict, error) == ("solved", True, None)
+        status, verdict, _ns, error = solve_with_timeout(complete_graph(5), 3, "hall", 10.0, 3)
+        assert (status, verdict, error) == ("solved", False, None)
 
     def test_degenerate_timeout_is_tle(self):
-        assert solve_with_timeout(cycle_graph(5), 2, "hall", 1e-9) == ("tle", None, None)
+        assert solve_with_timeout(cycle_graph(5), 2, "hall", 1e-9, 3) == ("tle", None, None, None)
 
     def test_worker_exception_is_error(self):
         # k = -1 raises inside the child, and its text comes back
-        status, verdict, error = solve_with_timeout(cycle_graph(5), -1, "hall", 10.0)
-        assert (status, verdict) == ("error", None)
+        status, verdict, ns, error = solve_with_timeout(cycle_graph(5), -1, "hall", 10.0, 3)
+        assert (status, verdict, ns) == ("error", None, None)
         assert "k must be nonnegative" in error
 
+    def test_verdict_that_changes_between_repetitions_is_error(self, monkeypatch):
+        # The worker runs in this process, so the fake needs no particular start method.
+        verdicts = iter([True, True, False])
+        monkeypatch.setitem(bench.ALGORITHMS, "flaky", lambda g, k: SimpleNamespace(verdict=next(verdicts)))
+        receiver, sender = mp.Pipe(duplex=False)
+        g = cycle_graph(5)
+        bench._solve_worker(sender, g.n, g.edges, 2, "flaky", 3)
+        assert receiver.recv() == ("error", None, None, "the verdict changed between repetitions")
+        receiver.close()
 
-def test_time_solve_returns_minimum_positive():
+
+def test_solved_rows_carry_positive_minimum_runtime():
     g, _ = generate_affirmative_case(12, 10, seed=4)
-    ns = time_solve(g, 10, "hall", repetitions=3)
-    assert ns > 0
+    status, verdict, ns, _error = solve_with_timeout(g, 10, "hall", 10.0, 3)
+    # tle and error rows carry None: see TestSolveWithTimeout
+    assert (status, verdict) == ("solved", True) and ns > 0
 
 
 class TestRunBench:
@@ -149,11 +165,24 @@ class TestRunBench:
         assert [sans_timing(r) for r in first] == [sans_timing(r) for r in second]
 
     def test_error_text_on_progress_line(self, monkeypatch):
-        monkeypatch.setattr(bench, "solve_with_timeout", lambda *args: ("error", None, "ValueError('boom')"))
+        monkeypatch.setattr(bench, "solve_with_timeout", lambda *args: ("error", None, None, "ValueError('boom')"))
         lines = []
         (record,) = run_bench(small_config(cases_per_pair=1), progress=lines.append)
         assert record.status == "error" and record.verdict is None
         assert lines == [f"{record.instance_id} hall: error ValueError('boom')"]
+
+    def test_parent_never_solves(self, monkeypatch):
+        calls = []
+        hall = bench.ALGORITHMS["hall"]
+
+        def counting(g, k):
+            calls.append(k)
+            return hall(g, k)
+
+        monkeypatch.setitem(bench.ALGORITHMS, "hall", counting)
+        records = run_bench(small_config())
+        assert all(r.status == "solved" for r in records)
+        assert calls == []  # every solve ran in a child process
 
     def test_summary_shape(self):
         records = run_bench(small_config())

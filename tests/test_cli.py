@@ -84,6 +84,18 @@ class TestOtherCommands:
         assert main(base + ["--seed", "321", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_gen_negative_seed_is_named(self, tmp_path, capsys):
+        argv = ["gen", "--kind", "affirmative", "--n", "12", "--k", "10", "--seed", "-1", "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_gen_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("BANDREC_SEED", "abc")
+        argv = ["gen", "--kind", "affirmative", "--n", "12", "--k", "10", "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "BANDREC_SEED must be a nonnegative integer, got 'abc'" in capsys.readouterr().err
+
     def test_gen_affirmative_k_out_of_range(self, tmp_path, capsys):
         argv = ["gen", "--kind", "affirmative", "--n", "10", "--k", "9", "--output", str(tmp_path / "x")]
         assert main(argv) == 2
@@ -128,6 +140,14 @@ class TestBenchCommand:
         ]
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    def test_non_finite_timeout(self, tmp_path, capsys, timeout):
+        out = tmp_path / "x.csv"
+        argv = ["bench", "--sizes", "10", "--cases", "1", "--timeout", timeout, "--output", str(out), "--quiet"]
+        assert main(argv) == 2
+        assert "timeout must be a finite positive number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_defaults_come_from_bench_config(self, tmp_path, monkeypatch):
         built = []
