@@ -24,13 +24,9 @@ print("left partial layouts:", len(lefts))
 print("first five:", lefts[:5])
 
 
-def blocked_values(chain):
-    # The first left position whose node is adjacent to v, or n when none is:
-    # v leaves the chain at pool j+1, or stays to the last pool.
-    blocked = {v: n for v in range(n) if chain[-1] >> v & 1}
-    for j, (pool, after) in enumerate(zip(chain, chain[1:])):
-        blocked.update((v, j) for v in range(n) if (pool & ~after) >> v & 1)
-    return dict(sorted(blocked.items()))
+def nodes_of(mask):
+    # A bitmask as its node list, ascending.
+    return [v for v in range(n) if mask >> v & 1]
 
 
 # For each left, the chain holds the bitmask of the unplaced nodes, then the
@@ -41,8 +37,8 @@ def blocked_values(chain):
 for left in lefts[:4]:
     chain = build_blocked_index(g, left)
     right = check_hall_and_build_right(chain, n, k)
-    sizes = [pool.bit_count() for pool in chain[1:]]
-    print(f"left={left}  blocked={blocked_values(chain)}  pool sizes={sizes}  ", end="")
+    pools = [nodes_of(pool) for pool in chain[1:]]
+    print(f"left={left}  pools={pools}  ", end="")
     if right is None:
         print("no compatible right layout")
     else:

@@ -2,9 +2,9 @@
 
 Nodes are dense integers ``0..n-1``; any external labelling must be resolved
 before construction. Graphs are undirected, simple (no self-loops), and
-immutable once built. Adjacency is kept in one form, per-node bitmasks:
-edge queries test one bit, degrees are popcounts, and breadth-first
-traversals grow a frontier by OR-ing the masks of its nodes.
+immutable once built. One function writes both stored forms, the sorted
+edge tuple and the per-node bitmasks built from it, and refuses zero nodes.
+Edge queries test one bit; breadth-first walks OR a frontier's masks.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 
 def _integer(v: object, what: str) -> int:
-    # The one integer check of the package, for node ids and for k: an
+    # The one integer check of the package, for node ids, n and k: an
     # integer by operator.index, with bool refused though it is an int.
     if type(v) is bool:
         raise TypeError(f"{what} must be an integer, not bool: {v!r}")
@@ -37,45 +37,51 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _fill(g: Graph, n: int, edges: Sequence[tuple[int, int]]) -> Graph:
+    # The one writer of a Graph's fields. ``edges`` must be valid, normalised
+    # to u < v and sorted; the masks are built from them, so the two agree.
+    if n < 1:
+        raise ValueError("graph needs at least one node (bandwidth of the empty graph is undefined)")
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", tuple(edges))
+    object.__setattr__(g, "_masks", tuple(masks))
+    return g
+
+
 class Graph:
     """Undirected simple graph on nodes ``0..n-1``.
 
     Parameters
     ----------
     n:
-        Node count, at least 1. The empty graph on zero nodes is rejected
-        because its bandwidth is undefined.
+        Node count, at least 1, coerced like an endpoint. The empty graph on
+        zero nodes is rejected because its bandwidth is undefined.
     edges:
         Iterable of node pairs. Endpoints are coerced to ``int`` with
         ``operator.index`` (``bool`` raises ``TypeError``). Pairs are
         normalised to ``u < v`` and de-duplicated; self-loops and
         out-of-range endpoints raise ``ValueError``.
 
-    The per-node bitmasks (:attr:`neighbor_masks`) are the only stored
-    adjacency; :meth:`adjacent` and :meth:`degree` read them. Instances are
-    immutable and safe to share across threads.
+    The edge tuple and the per-node bitmasks (:attr:`neighbor_masks`) are
+    written together by one function, so they always agree and every graph
+    has a node. Instances are immutable and safe to share across threads.
     """
 
     __slots__ = ("n", "edges", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
-        if n < 1:
-            raise ValueError("graph needs at least one node (bandwidth of the empty graph is undefined)")
+        n = _integer(n, "the node count")
         normalized = set()
         for u, v in edges:
             u, v = _node(u, n), _node(v, n)
             if u == v:
                 raise ValueError(f"self-loop on node {u} is not allowed")
             normalized.add((u, v) if u < v else (v, u))
-
-        masks = [0] * n
-        for u, v in normalized:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(normalized)))
-        object.__setattr__(self, "_masks", tuple(masks))
+        _fill(self, n, sorted(normalized))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -108,37 +114,30 @@ class Graph:
 
         Returns the subgraph together with the local-to-original node mapping
         (``mapping[local] == original``). ``nodes`` must be distinct node ids
-        of this graph, checked as :class:`Graph` checks edge endpoints.
+        of this graph, checked as :class:`Graph` checks edge endpoints, and
+        non-empty: a graph has at least one node.
         """
-        mapping = tuple(sorted(_node(v, self.n) for v in nodes))
-        if len(set(mapping)) != len(mapping):
+        member = count = 0
+        for v in nodes:
+            member |= 1 << _node(v, self.n)
+            count += 1
+        mapping = tuple(_bits(member))
+        if len(mapping) != count:
             raise ValueError("subgraph nodes must be distinct")
         local = {orig: i for i, orig in enumerate(mapping)}
-        member = 0
-        for v in mapping:
-            member |= 1 << v
         masks = self._masks
         # Each edge once, from its smaller end: the member bits of masks[u]
         # above u. The set-bit loop is inlined, as in _frontier_walk, to spare
-        # a generator per node. Ascending u and ascending bits emit the edges
-        # valid, normalised and sorted, so the copy is built without
-        # __init__, whose checks would only repeat that work.
+        # a generator per node. Ascending u and bits emit the edges valid,
+        # normalised and sorted, so they skip __init__'s checks for _fill.
         sub_edges = []
-        sub_masks = [0] * len(mapping)
         for i, u in enumerate(mapping):
             above = masks[u] & (member >> (u + 1) << (u + 1))
             while above:
                 low = above & -above
-                j = local[low.bit_length() - 1]
-                sub_edges.append((i, j))
-                sub_masks[i] |= 1 << j
-                sub_masks[j] |= 1 << i
+                sub_edges.append((i, local[low.bit_length() - 1]))
                 above ^= low
-        sub = object.__new__(Graph)
-        object.__setattr__(sub, "n", len(mapping))
-        object.__setattr__(sub, "edges", tuple(sub_edges))
-        object.__setattr__(sub, "_masks", tuple(sub_masks))
-        return sub, mapping
+        return _fill(object.__new__(Graph), len(mapping), sub_edges), mapping
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

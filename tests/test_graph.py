@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandrec.families import complete_graph, empty_graph, path_graph
+from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
 from bandrec.graph import Graph, Layout, _frontier_walk, connected_components, layout_bandwidth
-from conftest import distances_by_scan
+from bandrec.recognition import recognize
+from conftest import assert_certified, distances_by_scan
 
 
 def cumulative_sizes(g, v):
@@ -40,6 +41,16 @@ class TestGraphConstruction:
     def test_rejects_empty_graph(self):
         with pytest.raises(ValueError):
             Graph(0)
+
+    def test_node_count_coerced(self):
+        g = Graph(np.int64(5), cycle_graph(5).edges)
+        assert type(g.n) is int
+        assert_certified(g, 2, recognize(g, 2))
+
+    @pytest.mark.parametrize("n", [True, 3.0])
+    def test_rejects_non_integer_node_count(self, n):
+        with pytest.raises(TypeError):
+            Graph(n)
 
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
@@ -91,7 +102,13 @@ class TestGraphConstruction:
 
     @pytest.mark.parametrize(
         "nodes,error",
-        [([0, 99], ValueError), ([-1, 0], ValueError), ([0, 1.0], TypeError), ([True, 2], TypeError)],
+        [
+            ([0, 99], ValueError),
+            ([-1, 0], ValueError),
+            ([0, 1.0], TypeError),
+            ([True, 2], TypeError),
+            ([], ValueError),
+        ],
     )
     def test_subgraph_rejects_bad_node_ids(self, nodes, error):
         with pytest.raises(error):

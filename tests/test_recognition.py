@@ -36,26 +36,6 @@ from bandrec.recognition import (
 from conftest import assert_certified, random_graph, regime_ks
 
 
-def blocked_values(chain, n):
-    """Node -> smallest left index adjacent to it, or ``n`` when none is, read
-    off a pool chain: the nodes that leave it at ``A_j = chain[j+1]`` get
-    ``j``, and those in the last pool get ``n``. Ascending node ids."""
-    blocked = {}
-    for j, (pool, after) in enumerate(zip(chain, chain[1:])):
-        for v in range(n):
-            if pool >> v & 1 and not after >> v & 1:
-                blocked[v] = j
-    for v in range(n):
-        if chain[-1] >> v & 1:
-            blocked[v] = n
-    return dict(sorted(blocked.items()))
-
-
-def by_blocked_then_id(blocked):
-    """The unplaced nodes by nondecreasing blocked value, ties by ascending id."""
-    return sorted(blocked, key=lambda v: (blocked[v], v))
-
-
 @st.composite
 def graph_k_left(draw, min_n: int = 4, max_n: int = 9):
     """A graph, an in-regime k, and a random left partial layout for them."""
@@ -127,23 +107,19 @@ class TestEnumeration:
 
 class TestBlockedIndex:
     def test_edgeless_all_sentinel(self):
-        chain = build_blocked_index(empty_graph(6), (0, 1))
-        assert chain == (0b111100, 0b111100, 0b111100)
-        assert blocked_values(chain, 6) == {2: 6, 3: 6, 4: 6, 5: 6}
+        assert build_blocked_index(empty_graph(6), (0, 1)) == (0b111100,) * 3
 
     def test_complete_all_blocked_at_zero(self):
-        chain = build_blocked_index(complete_graph(5), (2,))
-        assert blocked_values(chain, 5) == {0: 0, 1: 0, 3: 0, 4: 0}
+        assert build_blocked_index(complete_graph(5), (2,)) == (0b11011, 0)
 
     def test_star_leaves_blocked_by_centre(self):
-        chain = build_blocked_index(star_graph(4), (0, 1))
-        assert blocked_values(chain, 5) == {2: 0, 3: 0, 4: 0}
+        assert build_blocked_index(star_graph(4), (0, 1)) == (0b11100, 0, 0)
 
     def test_minimum_index_wins(self):
-        # node 4 adjacent to both left nodes; the smaller index is recorded
+        # node 4, adjacent to both left nodes, leaves at the first pool: index 0
         g = Graph(5, [(0, 4), (1, 4), (1, 3)])
         chain = build_blocked_index(g, (0, 1))
-        assert blocked_values(chain, 5) == {2: 5, 3: 1, 4: 0}
+        assert chain == (0b11100, 0b01100, 0b00100)
         assert check_hall_and_build_right(chain, 5, 2) == [3, 2]
 
     def test_repeated_node_stays_placed(self):
@@ -151,42 +127,11 @@ class TestBlockedIndex:
         chain = build_blocked_index(empty_graph(4), (1, 1))
         assert chain[0] == 0b1101
 
-    def test_stable_tie_break_by_node_id(self, rng):
-        checked = 0
-        for _ in range(60):
-            n = int(rng.integers(6, 11))
-            g = random_graph(rng, n, float(rng.uniform(0.2, 0.8)))
-            k = int(rng.integers((n - 1) // 2, n - 1))
-            chain = build_blocked_index(g, random_left(rng, n, k))
-            right = check_hall_and_build_right(chain, n, k)
-            if right is not None:
-                assert right == by_blocked_then_id(blocked_values(chain, n))[-(n - k - 1) :]
-                checked += 1
-        assert checked > 0
-
-    @given(graph_k_left())
-    @settings(max_examples=80)
-    def test_membership_law(self, case):
-        # v in A_j iff blocked_values[v] > j, with A_j computed from scratch
-        g, k, left = case
-        blocked = blocked_values(build_blocked_index(g, left), g.n)
-        assert len(blocked) == k + 1
-        assert set(blocked.values()) <= set(range(g.n - k - 1)) | {g.n}
-        unplaced = [v for v in range(g.n) if v not in left]
-        for j in range(g.n - k - 1):
-            a_j = {
-                v
-                for v in unplaced
-                if all(not g.adjacent(left[i], v) for i in range(j + 1))
-            }
-            assert a_j == {v for v in unplaced if blocked[v] > j}
-
 
 class TestHallCheck:
     def test_edgeless_feasible_with_tail_nodes(self):
         chain = build_blocked_index(empty_graph(6), (0, 1))
-        right = check_hall_and_build_right(chain, 6, 3)
-        assert right == by_blocked_then_id(blocked_values(chain, 6))[-2:] == [4, 5]
+        assert check_hall_and_build_right(chain, 6, 3) == [4, 5]
 
     def test_complete_infeasible(self):
         chain = build_blocked_index(complete_graph(4), (0,))
@@ -218,31 +163,6 @@ class TestHallCheck:
         if right is not None:
             cert = Layout.from_inverse(assemble_certificate(left, right, g, k))
             assert layout_bandwidth(g, cert) <= k
-
-    def test_nested_counts(self, rng):
-        # |A_0| >= |A_1| >= ... regardless of the graph or the left layout.
-        for _ in range(20):
-            n = int(rng.integers(5, 11))
-            g = random_graph(rng, n, 0.4)
-            k = int(rng.integers((n - 1) // 2, n - 1))
-            blocked = blocked_values(build_blocked_index(g, random_left(rng, n, k)), n)
-            sizes = [sum(1 for v in blocked if blocked[v] > j) for j in range(n - k - 1)]
-            assert sizes == sorted(sizes, reverse=True)
-
-    def test_count_law_binary_search_vs_scan(self, rng):
-        for _ in range(20):
-            n = int(rng.integers(5, 11))
-            g = random_graph(rng, n, 0.5)
-            k = int(rng.integers((n - 1) // 2, n - 1))
-            chain = build_blocked_index(g, random_left(rng, n, k))
-            blocked = blocked_values(chain, n)
-            values = [blocked[v] for v in by_blocked_then_id(blocked)]
-            for j in range(n):
-                by_search = bisect_right(values, j)
-                by_scan = sum(1 for v in blocked if blocked[v] <= j)
-                assert by_search == by_scan
-                if j < n - k - 1:
-                    assert by_scan == chain[0].bit_count() - chain[j + 1].bit_count()
 
 
 def right_by_sort_and_bisect(g, k, left):
