@@ -13,7 +13,7 @@ import os
 import sys
 
 from .baselines import exact_bandwidth_bruteforce
-from .bench import ALGORITHMS, BenchConfig, BenchConfigError, run_bench, summarize, write_records_csv
+from .bench import ALGORITHMS, BenchConfig, run_bench, summarize, write_records_csv
 from .bounds import bandwidth_bounds
 from .generate import GENERATORS, GenerationError, GenParams, random_banded_matrix
 from .graph import layout_bandwidth
@@ -149,13 +149,10 @@ def _cmd_bench(args) -> int:
         seed=_resolve_seed(args.seed),
     )
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
-    try:
-        # open up front so a bad path fails before hours of benchmarking
-        with open(args.output, "w", encoding="ascii", newline="") as fh:
-            records = run_bench(config, progress=progress)
-            write_records_csv(records, fh)
-    except OSError as exc:
-        raise BenchConfigError(f"cannot write {args.output}: {exc}") from exc
+    # open up front so a bad path fails before hours of benchmarking
+    with open(args.output, "w", encoding="ascii", newline="") as fh:
+        records = run_bench(config, progress=progress)
+        write_records_csv(records, fh)
     if args.format == "csv":
         write_records_csv(records, sys.stdout)
     else:

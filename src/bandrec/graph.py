@@ -1,15 +1,18 @@
 """Core graph and layout types shared by every other module.
 
 Nodes are dense integers ``0..n-1``; any external labelling must be resolved
-before construction. Graphs are undirected, simple (no self-loops), and
-immutable once built. One function writes both stored forms, the sorted
-edge tuple and the per-node bitmasks built from it, and refuses zero nodes.
-Edge queries test one bit; breadth-first walks OR a frontier's masks.
+before construction. Graphs are undirected and simple (no self-loops).
+:class:`Graph` and :class:`Layout` are frozen, slotted dataclasses with
+hand-written ``__init__``s, so they compare, hash, copy and pickle by value.
+One function writes both stored forms of a graph, the sorted edge tuple and
+the per-node bitmasks built from it, and refuses zero nodes. Edge queries
+test one bit; breadth-first walks OR a frontier's masks.
 """
 
 from __future__ import annotations
 
 import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 
@@ -48,10 +51,11 @@ def _fill(g: Graph, n: int, edges: Sequence[tuple[int, int]]) -> Graph:
         masks[v] |= 1 << u
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", tuple(edges))
-    object.__setattr__(g, "_masks", tuple(masks))
+    object.__setattr__(g, "neighbor_masks", tuple(masks))
     return g
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Graph:
     """Undirected simple graph on nodes ``0..n-1``.
 
@@ -66,12 +70,16 @@ class Graph:
         normalised to ``u < v`` and de-duplicated; self-loops and
         out-of-range endpoints raise ``ValueError``.
 
-    The edge tuple and the per-node bitmasks (:attr:`neighbor_masks`) are
-    written together by one function, so they always agree and every graph
-    has a node. Instances are immutable and safe to share across threads.
+    The field ``neighbor_masks`` holds the per-node adjacency bitmasks: bit
+    ``v`` of entry ``u`` is set iff ``{u, v}`` is an edge. It and the sorted
+    edge tuple ``edges`` are written together by one function, so they
+    always agree and every graph has a node; equality and hashing read ``n``
+    and ``edges``. Instances are frozen and safe to share across threads.
     """
 
-    __slots__ = ("n", "edges", "_masks")
+    n: int
+    edges: tuple[tuple[int, int], ...]
+    neighbor_masks: tuple[int, ...] = field(compare=False)
 
     def __init__(self, n: int, edges: Iterable[Sequence[int]] = ()) -> None:
         n = _integer(n, "the node count")
@@ -83,25 +91,17 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         _fill(self, n, sorted(normalized))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
-
     @property
     def m(self) -> int:
         """Number of edges."""
         return len(self.edges)
 
-    @property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Per-node adjacency bitmasks; bit ``v`` of entry ``u`` is set iff ``{u, v}`` is an edge."""
-        return self._masks
-
     def adjacent(self, u: int, v: int) -> bool:
         """Constant-time edge query."""
-        return bool(self._masks[u] >> v & 1)
+        return bool(self.neighbor_masks[u] >> v & 1)
 
     def degree(self, v: int) -> int:
-        return self._masks[v].bit_count()
+        return self.neighbor_masks[v].bit_count()
 
     def relabeled(self, mapping: Sequence[int]) -> "Graph":
         """Graph with node ``v`` renamed to ``mapping[v]``; mapping must be a bijection."""
@@ -125,7 +125,7 @@ class Graph:
         if len(mapping) != count:
             raise ValueError("subgraph nodes must be distinct")
         local = {orig: i for i, orig in enumerate(mapping)}
-        masks = self._masks
+        masks = self.neighbor_masks
         # Each edge once, from its smaller end: the member bits of masks[u]
         # above u. The set-bit loop is inlined, as in _frontier_walk, to spare
         # a generator per node. Ascending u and bits emit the edges valid,
@@ -139,29 +139,27 @@ class Graph:
                 above ^= low
         return _fill(object.__new__(Graph), len(mapping), sub_edges), mapping
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.edges == other.edges
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class Layout:
     """Bijection from nodes to positions ``0..n-1``.
 
     ``forward[v]`` is the position of node ``v``; ``inverse[p]`` is the node
-    at position ``p``. Construction validates bijectivity, so every Layout in
-    circulation satisfies ``inverse[forward[v]] == v``.
+    at position ``p``. Entries are coerced like node ids (``operator.index``;
+    ``bool`` raises ``TypeError``), so both maps hold plain ``int``s.
+    Construction validates bijectivity, so every Layout in circulation
+    satisfies ``inverse[forward[v]] == v``. Equality and hashing read
+    ``forward`` only, since ``inverse`` follows from it.
     """
 
-    __slots__ = ("forward", "inverse")
+    forward: tuple[int, ...]
+    inverse: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, forward: Sequence[int]) -> None:
+        forward = tuple([p if type(p) is int else _integer(p, "a position") for p in forward])
         n = len(forward)
         if n < 1:
             raise ValueError("layout needs at least one node")
@@ -170,15 +168,12 @@ class Layout:
             if not (0 <= pos < n) or inverse[pos] != -1:
                 raise ValueError("layout is not a bijection onto 0..n-1")
             inverse[pos] = v
-        object.__setattr__(self, "forward", tuple(forward))
+        object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "inverse", tuple(inverse))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Layout is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Layout":
-        return cls(range(n))
+        return cls(range(_integer(n, "the node count")))
 
     @classmethod
     def from_inverse(cls, inverse: Sequence[int]) -> "Layout":
@@ -199,17 +194,6 @@ class Layout:
         """Mirror layout ``v -> n-1-forward[v]``; preserves layout bandwidth."""
         n = self.n
         return Layout([n - 1 - p for p in self.forward])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Layout):
-            return NotImplemented
-        return self.forward == other.forward
-
-    def __hash__(self) -> int:
-        return hash(self.forward)
-
-    def __repr__(self) -> str:
-        return f"Layout(forward={list(self.forward)})"
 
 
 def layout_bandwidth(g: Graph, layout: Layout) -> int:

@@ -161,13 +161,25 @@ class TestBenchCommand:
         (config,) = built
         assert config == replace(BenchConfig(), seed=config.seed)
 
-    def test_unwritable_output(self, tmp_path):
+    def test_unwritable_output(self, tmp_path, capsys):
+        output = str(tmp_path / "missing_dir" / "x.csv")
         argv = [
             "bench", "--sizes", "12", "--k-offsets-affirmative", "-2",
             "--k-offsets-negative=", "--cases", "1", "--reps", "3",
-            "--seed", "9", "--output", str(tmp_path / "missing_dir" / "x.csv"), "--quiet",
+            "--seed", "9", "--output", output, "--quiet",
         ]
         assert main(argv) == 2
+        assert output in capsys.readouterr().err
+
+    def test_spawn_failure_is_not_blamed_on_output(self, tmp_path, monkeypatch, capsys):
+        def failing_run_bench(config, progress=None):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "run_bench", failing_run_bench)
+        assert main(["bench", "--seed", "1", "--output", str(tmp_path / "ok.csv"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "Resource temporarily unavailable" in err
+        assert "cannot write" not in err
 
 
 def test_console_entry_point_runs():

@@ -1,3 +1,6 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations
 
 import numpy as np
@@ -76,6 +79,8 @@ class TestGraphConstruction:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 5
+        with pytest.raises(FrozenInstanceError, match="cannot assign to field 'forward'"):
+            Layout([1, 0]).forward = (0, 1)
 
     @given(graphs())
     def test_adjacency_symmetric(self, g):
@@ -198,6 +203,54 @@ class TestLayout:
     def test_reversed(self):
         layout = Layout([2, 0, 1])
         assert layout.reversed().forward == (0, 2, 1)
+
+    def test_narrow_positions_coerced(self):
+        # uint8 positions would wrap on subtraction: 0 - 1 reads 255.
+        layout = Layout(np.array([0, 1], dtype=np.uint8))
+        assert all(type(p) is int for p in layout.forward + layout.inverse)
+        assert layout_bandwidth(Graph(2, [(0, 1)]), layout) == 1
+
+    def test_numpy_positions_accepted(self):
+        layout = Layout([np.int64(2), np.int64(0), np.int64(1)])
+        assert layout == Layout([2, 0, 1])
+        assert all(type(p) is int for p in layout.forward)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Layout([True, False]), lambda: Layout.from_inverse([True, False]), lambda: Layout.identity(True)],
+        ids=["init", "from_inverse", "identity"],
+    )
+    def test_rejects_bool_positions(self, build):
+        with pytest.raises(TypeError, match="bool"):
+            build()
+
+    def test_reprs(self):
+        assert repr(Layout([2, 0, 1])) == "Layout(forward=(2, 0, 1))"
+        assert repr(cycle_graph(5)) == "Graph(n=5, m=5)"
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))], ids=["deepcopy", "pickle"]
+)
+class TestRoundTrip:
+    # neighbor_masks and inverse are compare=False, so each is checked by hand.
+    def test_graph(self, duplicate):
+        g = cycle_graph(5)
+        twin = duplicate(g)
+        assert twin == g and hash(twin) == hash(g)
+        assert twin.neighbor_masks == g.neighbor_masks
+
+    def test_layout(self, duplicate):
+        layout = Layout.from_inverse([2, 0, 3, 1])
+        twin = duplicate(layout)
+        assert twin == layout and hash(twin) == hash(layout)
+        assert twin.inverse == layout.inverse
+
+    def test_recognition_result(self, duplicate):
+        result = recognize(cycle_graph(5), 2)
+        twin = duplicate(result)
+        assert twin == result
+        assert twin.certificate.inverse == result.certificate.inverse
 
 
 class TestLayoutBandwidth:
