@@ -9,6 +9,7 @@ any error. The BANDREC_SEED environment variable supplies a seed when
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -149,10 +150,21 @@ def _cmd_bench(args) -> int:
         seed=_resolve_seed(args.seed),
     )
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
-    # open up front so a bad path fails before hours of benchmarking
-    with open(args.output, "w", encoding="ascii", newline="") as fh:
-        records = run_bench(config, progress=progress)
-        write_records_csv(records, fh)
+    # The CSV goes to a file next to --output, created up front so a bad path
+    # fails before hours of benchmarking, and replaces --output only once the
+    # run has finished: a failed run leaves an existing file as it was.
+    if os.path.isdir(args.output):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.output)
+    partial = f"{args.output}.{os.getpid()}.tmp"
+    fh = open(partial, "x", encoding="ascii", newline="")
+    try:
+        with fh:
+            records = run_bench(config, progress=progress)
+            write_records_csv(records, fh)
+        os.replace(partial, args.output)
+    except BaseException:
+        os.unlink(partial)
+        raise
     if args.format == "csv":
         write_records_csv(records, sys.stdout)
     else:

@@ -85,7 +85,9 @@ class Graph:
         n = _integer(n, "the node count")
         normalized = set()
         for u, v in edges:
-            u, v = _node(u, n), _node(v, n)
+            # Plain in-range ints skip _node, which checks every other id.
+            u = u if type(u) is int and 0 <= u < n else _node(u, n)
+            v = v if type(v) is int and 0 <= v < n else _node(v, n)
             if u == v:
                 raise ValueError(f"self-loop on node {u} is not allowed")
             normalized.add((u, v) if u < v else (v, u))
@@ -104,10 +106,23 @@ class Graph:
         return self.neighbor_masks[v].bit_count()
 
     def relabeled(self, mapping: Sequence[int]) -> "Graph":
-        """Graph with node ``v`` renamed to ``mapping[v]``; mapping must be a bijection."""
+        """Graph with node ``v`` renamed to ``mapping[v]``.
+
+        Entries are coerced like node ids (``operator.index``; ``bool``
+        raises ``TypeError``), and the mapping must be a bijection onto
+        ``0..n-1`` (``ValueError`` otherwise).
+        """
+        mapping = [x if type(x) is int else _integer(x, "a node id") for x in mapping]
         if sorted(mapping) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection onto 0..n-1")
-        return Graph(self.n, ((mapping[u], mapping[v]) for u, v in self.edges))
+        # A bijection maps distinct valid edges to distinct valid edges, so
+        # normalising and one sort make them ready for _fill, as in subgraph.
+        edges = []
+        for u, v in self.edges:
+            u, v = mapping[u], mapping[v]
+            edges.append((u, v) if u < v else (v, u))
+        edges.sort()
+        return _fill(object.__new__(Graph), self.n, edges)
 
     def subgraph(self, nodes: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``nodes``, relabelled to ``0..len(nodes)-1``.

@@ -181,6 +181,26 @@ class TestBenchCommand:
         assert "Resource temporarily unavailable" in err
         assert "cannot write" not in err
 
+    def test_failed_run_keeps_existing_output(self, tmp_path, monkeypatch, capsys):
+        def failing_run_bench(config, progress=None):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"instance_id,kept\r\n1,yes\r\n")
+        monkeypatch.setattr(cli, "run_bench", failing_run_bench)
+        assert main(["bench", "--seed", "1", "--output", str(out), "--quiet"]) == 2
+        assert out.read_bytes() == b"instance_id,kept\r\n1,yes\r\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]
+
+    def test_directory_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def unreachable(config, progress=None):
+            raise AssertionError("the benchmark ran")
+
+        monkeypatch.setattr(cli, "run_bench", unreachable)
+        assert main(["bench", "--seed", "1", "--output", str(tmp_path), "--quiet"]) == 2
+        assert str(tmp_path) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

@@ -1,3 +1,4 @@
+import hashlib
 from types import SimpleNamespace
 
 import pytest
@@ -195,3 +196,59 @@ class TestCaseRanges:
             else:
                 with pytest.raises(BenchConfigError):
                     BenchConfig(sizes=(n,), **offsets)
+
+
+def _digest(cases):
+    # One hash over each case's (n, edges, meta): a changed draw, in the
+    # graph or in any meta value, changes it.
+    h = hashlib.sha256()
+    for g, meta in cases:
+        h.update(repr((g.n, g.edges, sorted(meta.items()))).encode())
+    return h.hexdigest()[:16]
+
+
+GOLDEN_SEEDS = range(4)
+
+
+class TestGoldenOutputs:
+    """The generators' outputs, pinned. The digests were recorded when every
+    band coin was a scalar draw and every scramble attempt built its graph,
+    so a change to the draw order, or to any output, fails here."""
+
+    @pytest.mark.parametrize(
+        "n,psi,p,expected",
+        [
+            (9, 4, 0.5, "0cad5d955bf6a19d"),
+            (16, 3, 0.05, "dd3f43648900b3f1"),
+            (40, 12, 0.4, "1310ed12fa8642f5"),
+            (40, 39, 0.3, "e717858cd87b2d4b"),
+        ],
+    )
+    def test_random_banded_matrix(self, n, psi, p, expected):
+        cases = ((random_banded_matrix(GenParams(n, psi, p, seed)), {}) for seed in GOLDEN_SEEDS)
+        assert _digest(cases) == expected
+
+    @pytest.mark.parametrize(
+        "n,k,expected",
+        [
+            (9, 4, "262d60097fb28605"),
+            (9, 7, "693e4ca8e7867717"),
+            (40, 20, "39358fccabf8adc5"),
+            (40, 37, "e39fe29bc0583be8"),
+        ],
+    )
+    def test_affirmative(self, n, k, expected):
+        assert _digest(generate_affirmative_case(n, k, seed) for seed in GOLDEN_SEEDS) == expected
+
+    @pytest.mark.parametrize(
+        "n,k,count,expected",
+        [
+            (9, 4, 4, "855d3a0b32c6b730"),
+            (9, 5, 4, "7502c7dd9e157530"),
+            (12, 8, 4, "fc37d6cb2a3ea0e7"),
+            (40, 36, 2, "b35d83f1b6bd3bb8"),
+        ],
+    )
+    def test_negative(self, n, k, count, expected):
+        # n=40 is checked by recognize, not brute force, so two seeds suffice.
+        assert _digest(generate_negative_case(n, k, seed) for seed in range(count)) == expected

@@ -125,6 +125,58 @@ class TestGraphConstruction:
         assert all(type(v) is int for v in mapping)
 
 
+class TestFastPaths:
+    """Plain in-range ints skip the id check in Graph and relabeled; every
+    other id must still meet it."""
+
+    def test_mixed_endpoints_stored_as_int(self):
+        g = Graph(3, [(np.int64(0), 1), (2, np.uint8(1))])
+        assert g.edges == ((0, 1), (1, 2))
+        assert all(type(x) is int for edge in g.edges for x in edge)
+
+    @pytest.mark.parametrize("edge", [(0, True), (False, 1)])
+    def test_bool_endpoint_raises(self, edge):
+        with pytest.raises(TypeError, match="must be an integer, not bool"):
+            Graph(3, [edge])
+
+    @pytest.mark.parametrize(
+        "edge,message",
+        [
+            ((0, 3), "node 3 out of range for n=3"),
+            ((-1, 2), "node -1 out of range for n=3"),
+            ((np.int64(5), 0), "node 5 out of range for n=3"),
+            ((1, 1), "self-loop on node 1 is not allowed"),
+            ((np.int64(2), 2), "self-loop on node 2 is not allowed"),
+        ],
+    )
+    def test_bad_endpoint_messages(self, edge, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph(3, [edge])
+
+    @given(graphs(max_n=10), st.randoms(use_true_random=False))
+    def test_relabeled_matches_construction(self, g, random):
+        mapping = list(range(g.n))
+        random.shuffle(mapping)
+        h = g.relabeled(mapping)
+        expected = Graph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges))
+        assert h == expected
+        assert h.neighbor_masks == expected.neighbor_masks
+
+    def test_relabeled_numpy_mapping(self):
+        h = Graph(4, [(0, 1), (1, 2)]).relabeled(np.array([3, 0, 2, 1]))
+        assert h.edges == ((0, 2), (0, 3))
+        assert all(type(x) is int for edge in h.edges for x in edge)
+
+    def test_relabeled_rejects_bool_mapping(self):
+        with pytest.raises(TypeError, match="bool"):
+            Graph(2, [(0, 1)]).relabeled([True, False])
+
+    @pytest.mark.parametrize("mapping", [[0, 0, 1], [0, 1], [0, 1, 3], [1, 2, 3]])
+    def test_relabeled_rejects_non_bijection(self, mapping):
+        with pytest.raises(ValueError, match=r"^relabeling must be a bijection onto 0\.\.n-1$"):
+            Graph(3, [(0, 1)]).relabeled(mapping)
+
+
 def subgraph_by_edge_scan(g, nodes):
     """The induced subgraph as first defined: every edge of ``g`` scanned,
     kept when both ends are in ``nodes``."""
