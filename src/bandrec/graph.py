@@ -252,13 +252,21 @@ def _frontier_walk(g: Graph, source: int) -> Iterator[int]:
 
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS partition into connected components, each sorted, ordered by smallest node id."""
+    # _frontier_walk's loop, inlined: only the closure is needed, so no
+    # generator yields the layers.
+    masks = g.neighbor_masks
     components: list[tuple[int, ...]] = []
     unassigned = (1 << g.n) - 1
     while unassigned:
-        start = (unassigned & -unassigned).bit_length() - 1
-        member = 1 << start
-        for layer in _frontier_walk(g, start):
-            member |= layer
+        member = frontier = unassigned & -unassigned
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= masks[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~member
+            member |= frontier
         unassigned ^= member
         components.append(tuple(_bits(member)))
     return tuple(components)

@@ -21,6 +21,16 @@ order yield a valid right assignment: its last ``n-k-1`` nodes. The
 remaining nodes fill the middle positions, in ascending id order, and the
 component's certificate is the position -> node list left, middle, right.
 
+The stream of lefts is lexicographic, so the lefts that share a head (all of
+a left but its last node) come in one run, and the search builds the head's
+chain ``(unplaced', B_0, ..., B_{n-k-3})`` once per run. A left ending in
+``c`` then has the chain of the head's pools each less ``c``, plus the last
+of them less ``c`` and ``N(c)``. A left's pool ``A_j`` is its head's ``B_j``
+less at most ``c``, so a head pool below its need rules out every
+completion, and that head's run is passed over without per-left work. Every
+left is still enumerated: this is the paper's full sweep, ``n!/(k+1)!``
+lefts per negative component.
+
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
 Inputs outside the regime raise :class:`OutOfRegimeError` rather than
@@ -30,7 +40,8 @@ silently falling back to another method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import groupby, permutations
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .bounds import bandwidth_bounds
@@ -116,6 +127,16 @@ def build_blocked_index(g: Graph, left: Sequence[int]) -> tuple[int, ...]:
     return tuple(chain)
 
 
+def _short(chain: Sequence[int], need: int) -> bool:
+    # Whether some pool chain[j+1] holds fewer than need-j nodes: the Hall
+    # counting rule, shared by a left's chain and a head's pools.
+    for pool in chain[1:]:
+        if pool.bit_count() < need:
+            return True
+        need -= 1
+    return False
+
+
 def check_hall_and_build_right(chain: Sequence[int], n: int, k: int) -> list[int] | None:
     """Feasibility check for the right positions, and the assignment when it holds.
 
@@ -126,11 +147,9 @@ def check_hall_and_build_right(chain: Sequence[int], n: int, k: int) -> list[int
     ``n-k-1`` nodes of the chain's layers in order, each layer in ascending
     node id.
     """
-    width = need = n - k - 1
-    for pool in chain[1:]:
-        if pool.bit_count() < need:
-            return None
-        need -= 1
+    width = n - k - 1
+    if _short(chain, width):
+        return None
     # The last nodes of the layer order, taken from the top down: the highest
     # ids of the never-blocked layer (the last pool) first, then of each
     # layer below it.
@@ -162,14 +181,42 @@ def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k:
     return [*left, *(v for v in range(g.n) if v not in used), *right]
 
 
+# A left's head: all of it but the last node. The stream is lexicographic,
+# so the lefts that share a head come in one run.
+_head = itemgetter(slice(-1))
+
+
 def _solve_component(g: Graph, k: int) -> list[int] | None:
-    # Full left-layout sweep over one connected component: the certificate
-    # as a position -> node list, or None = infeasible.
+    # The full left-layout sweep over one connected component: the
+    # certificate as a position -> node list, or None = infeasible. The first
+    # left is decided on its own chain, so a piece whose first left passes
+    # (most yes-pieces) builds no head pools and tests no head. After it,
+    # each head's pools (unplaced', B_0, ..., B_{w-2}) are built and tested
+    # once. A dead head's run is passed over, its lefts still drawn from the
+    # stream by groupby; a live head's left c gets the chain
+    # (pool & ~bit(c) for each pool) plus B_{w-2} & ~bit(c) & ~N(c), which
+    # is exactly build_blocked_index(g, left).
     n = g.n
-    for left in enumerate_left_partial_layouts(g, k):
-        right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
-        if right is not None:
-            return assemble_certificate(left, right, g, k)
+    masks = g.neighbor_masks
+    width = n - k - 1
+    lefts = enumerate_left_partial_layouts(g, k)
+    left = next(lefts)
+    right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
+    if right is not None:
+        return assemble_certificate(left, right, g, k)
+    for head, run in groupby(lefts, _head):
+        pools = build_blocked_index(g, head)
+        # A completion's A_j is the head's B_j less at most its last node, so
+        # a head pool below its need rules out every completion.
+        if _short(pools, width):
+            continue
+        for left in run:
+            keep = ~(1 << left[-1])
+            chain = [pool & keep for pool in pools]
+            chain.append(chain[-1] & ~masks[left[-1]])
+            right = check_hall_and_build_right(chain, n, k)
+            if right is not None:
+                return assemble_certificate(left, right, g, k)
     return None
 
 

@@ -227,6 +227,64 @@ class TestPools:
         assert 0 < passed < 400
 
 
+@st.composite
+def graph_and_regime_k(draw, max_n: int = 10):
+    """A graph whose highest ids may be isolated, and any regime k for it."""
+    n = draw(st.integers(2, max_n))
+    linked = n - draw(st.integers(0, n - 1))
+    pairs = list(combinations(range(linked), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    k = draw(st.integers((n - 1) // 2, n - 2))
+    return Graph(n, edges), k
+
+
+def solve_per_left(g, k):
+    """The sweep with no shared pools: every left gets its own chain and check."""
+    for left in enumerate_left_partial_layouts(g, k):
+        right = check_hall_and_build_right(build_blocked_index(g, left), g.n, k)
+        if right is not None:
+            return assemble_certificate(left, right, g, k)
+    return None
+
+
+class TestSolveComponent:
+    @given(graph_and_regime_k())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_left_sweep(self, case):
+        g, k = case
+        assert recognition._solve_component(g, k) == solve_per_left(g, k)
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_matches_the_per_left_sweep_at_k_n_minus_2(self, rng, n):
+        # One left position: every head is empty, so no head is ever dead.
+        for _ in range(10):
+            g = random_graph(rng, n, float(rng.uniform(0.3, 0.95)))
+            assert recognition._solve_component(g, n - 2) == solve_per_left(g, n - 2)
+
+    def test_negative_visits_every_left(self, monkeypatch):
+        counts = {"lefts": 0, "checks": 0}
+        enumerate_real = recognition.enumerate_left_partial_layouts
+        check_real = recognition.check_hall_and_build_right
+
+        def counting_enumerate(g, k):
+            for left in enumerate_real(g, k):
+                counts["lefts"] += 1
+                yield left
+
+        def counting_check(chain, n, k):
+            counts["checks"] += 1
+            return check_real(chain, n, k)
+
+        monkeypatch.setattr(recognition, "enumerate_left_partial_layouts", counting_enumerate)
+        monkeypatch.setattr(recognition, "check_hall_and_build_right", counting_check)
+        g, _ = generate_negative_case(9, 4, seed=0)
+        assert len(connected_components(g)) == 1
+        assert recognize(g, 4).negative_reason == SEARCH_EXHAUSTED
+        assert counts["lefts"] == factorial(9) // factorial(5) == 3024
+        # Dead heads spare the check, never the visit.
+        assert 0 < counts["checks"] < counts["lefts"]
+
+
 class TestAssembleCertificate:
     def test_edgeless_identity(self):
         g = empty_graph(6)
