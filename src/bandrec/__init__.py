@@ -20,7 +20,6 @@ from .graph import Graph, Layout, connected_components, layout_bandwidth
 from .io import GraphParseError, parse_graph_file, parse_graph_text, write_graph_file, write_graph_text
 from .recognition import (
     BOUNDS_CUTOFF,
-    OUT_OF_REGIME,
     SEARCH_EXHAUSTED,
     OutOfRegimeError,
     RecognitionResult,
@@ -35,7 +34,6 @@ __all__ = [
     "Graph",
     "GraphParseError",
     "Layout",
-    "OUT_OF_REGIME",
     "OutOfRegimeError",
     "RecognitionResult",
     "SEARCH_EXHAUSTED",

@@ -40,6 +40,9 @@ NEGATIVE_SAMPLE_BUDGET = 200
 # nodes has bandwidth above n-1, so no scramble can beat k = n-1. Negative:
 # wider targets make the rejection sampling astronomically slow.
 _CEILING_GAPS = {AFFIRMATIVE: 2, NEGATIVE: 4}
+# Each kind's least k, where the regime floor is lower. Affirmative: a graph
+# of bandwidth 0 is edgeless, so no scramble exceeds k = 0.
+_FLOORS = {AFFIRMATIVE: 1, NEGATIVE: 0}
 
 
 class GenerationError(RuntimeError):
@@ -92,12 +95,16 @@ def random_banded_matrix(params: GenParams) -> Graph:
 
 def check_case(kind: str, n: int, k: int) -> None:
     """Raise ``ValueError`` unless ``k`` is in the range of ``kind`` cases on
-    ``n`` nodes: from the regime floor (below it, :class:`OutOfRegimeError`)
-    to ``n-2`` for affirmative and ``n-4`` for negative cases."""
+    ``n`` nodes: from the regime floor (below it, :class:`OutOfRegimeError`),
+    and at least 1 for affirmative cases, to ``n-2`` for affirmative and
+    ``n-4`` for negative cases."""
     require_regime(n, k)
+    floor = max(_FLOORS[kind], regime_floor(n))
     ceiling = n - _CEILING_GAPS[kind]
-    if k > ceiling:
-        raise ValueError(f"{kind} cases need k in [{regime_floor(n)}, {ceiling}] for n={n}, got k={k}")
+    if floor > ceiling:
+        raise ValueError(f"no k admits {kind} cases on n={n} nodes, got k={k}")
+    if not floor <= k <= ceiling:
+        raise ValueError(f"{kind} cases need k in [{floor}, {ceiling}] for n={n}, got k={k}")
 
 
 def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, Any]]:

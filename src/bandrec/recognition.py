@@ -22,14 +22,14 @@ remaining nodes fill the middle positions, in ascending id order, and the
 component's certificate is the position -> node list left, middle, right.
 
 The stream of lefts is lexicographic, so the lefts that share a head (all of
-a left but its last node) come in one run, and the search builds the head's
-chain ``(unplaced', B_0, ..., B_{n-k-3})`` once per run. A left ending in
-``c`` then has the chain of the head's pools each less ``c``, plus the last
-of them less ``c`` and ``N(c)``. A left's pool ``A_j`` is its head's ``B_j``
-less at most ``c``, so a head pool below its need rules out every
-completion, and that head's run is passed over without per-left work. Every
-left is still enumerated: this is the paper's full sweep, ``n!/(k+1)!``
-lefts per negative component.
+a left but its last node) come in one run. The search is one loop over those
+runs with one chain builder: it builds the head's chain
+``(unplaced', B_0, ..., B_{n-k-3})`` with the same pass as a left's, once per
+run. A left's pool ``A_j`` is its head's ``B_j`` less at most the left's last
+node, so a head pool below its need rules out every completion, and that
+head's run is passed over without a Hall check. Each left of a live head
+gets its own chain and check. Every left is still enumerated: this is the
+paper's full sweep, ``n!/(k+1)!`` lefts per negative component.
 
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
@@ -49,14 +49,11 @@ from .graph import Graph, Layout, _integer, connected_components, layout_bandwid
 
 BOUNDS_CUTOFF = "bounds_cutoff"
 SEARCH_EXHAUSTED = "search_exhausted"
-OUT_OF_REGIME = "out_of_regime"
 
 
 class OutOfRegimeError(ValueError):
     """Raised when some component needs k below half its size, where the
     left/right position split that the algorithm relies on does not exist."""
-
-    reason = OUT_OF_REGIME
 
 
 def coerce_k(k) -> int:
@@ -187,34 +184,19 @@ _head = itemgetter(slice(-1))
 
 
 def _solve_component(g: Graph, k: int) -> list[int] | None:
-    # The full left-layout sweep over one connected component: the
-    # certificate as a position -> node list, or None = infeasible. The first
-    # left is decided on its own chain, so a piece whose first left passes
-    # (most yes-pieces) builds no head pools and tests no head. After it,
-    # each head's pools (unplaced', B_0, ..., B_{w-2}) are built and tested
-    # once. A dead head's run is passed over, its lefts still drawn from the
-    # stream by groupby; a live head's left c gets the chain
-    # (pool & ~bit(c) for each pool) plus B_{w-2} & ~bit(c) & ~N(c), which
-    # is exactly build_blocked_index(g, left).
+    # The paper's sweep over one connected component: the certificate as a
+    # position -> node list, or None = infeasible. Every left is drawn from
+    # the stream, and every chain, a head's or a left's, comes from
+    # build_blocked_index. A completion's A_j is its head's B_j less at most
+    # its last node, so a head pool below its need rules out every completion
+    # and the head's run is passed over without a Hall check.
     n = g.n
-    masks = g.neighbor_masks
     width = n - k - 1
-    lefts = enumerate_left_partial_layouts(g, k)
-    left = next(lefts)
-    right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
-    if right is not None:
-        return assemble_certificate(left, right, g, k)
-    for head, run in groupby(lefts, _head):
-        pools = build_blocked_index(g, head)
-        # A completion's A_j is the head's B_j less at most its last node, so
-        # a head pool below its need rules out every completion.
-        if _short(pools, width):
+    for head, run in groupby(enumerate_left_partial_layouts(g, k), _head):
+        if _short(build_blocked_index(g, head), width):
             continue
         for left in run:
-            keep = ~(1 << left[-1])
-            chain = [pool & keep for pool in pools]
-            chain.append(chain[-1] & ~masks[left[-1]])
-            right = check_hall_and_build_right(chain, n, k)
+            right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
             if right is not None:
                 return assemble_certificate(left, right, g, k)
     return None

@@ -102,6 +102,14 @@ class TestOtherCommands:
         assert "[4, 8]" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_gen_affirmative_edgeless_cell(self, tmp_path, capsys):
+        # k = 0 at n = 2 is in the regime, but only an edgeless graph has
+        # bandwidth 0, and no scramble of it exceeds 0.
+        argv = ["gen", "--kind", "affirmative", "--n", "2", "--k", "0", "--output", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert "no k admits affirmative cases on n=2" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_gen_missing_params(self, tmp_path):
         assert main(["gen", "--kind", "banded", "--n", "5", "--output", str(tmp_path / "x")]) == 2
         assert main(["gen", "--kind", "negative", "--n", "12", "--output", str(tmp_path / "x")]) == 2

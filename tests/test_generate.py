@@ -90,10 +90,10 @@ class TestAffirmativeCases:
         assert 0 <= meta["psi"] <= 2
 
     def test_budget_exhaustion(self):
-        # psi is forced to 0 at n=2, k=0: the edgeless draw can never scramble
-        # past bandwidth 0, so the retry budget must trip.
+        # At n=3, k=1, seed 1 draws psi = 0: the edgeless draw can never
+        # scramble past bandwidth 1, so the retry budget must trip.
         with pytest.raises(GenerationError):
-            generate_affirmative_case(2, 0, seed=3)
+            generate_affirmative_case(3, 1, seed=1)
 
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
@@ -157,9 +157,11 @@ def _refuse_to_draw(seed):
 _NO_DRAWS = SimpleNamespace(random=SimpleNamespace(default_rng=_refuse_to_draw))
 
 # Each kind's k range, written out here rather than read from the package:
-# from floor((n-1)/2), the regime floor, up to n-2 (affirmative) or n-4 (negative).
+# from floor((n-1)/2), the regime floor (and at least 1 for affirmative: a
+# bandwidth-0 graph is edgeless, so no scramble exceeds k = 0), up to n-2
+# (affirmative) or n-4 (negative).
 RANGES = {
-    AFFIRMATIVE: lambda n: ((n - 1) // 2, n - 2),
+    AFFIRMATIVE: lambda n: (max(1, (n - 1) // 2), n - 2),
     NEGATIVE: lambda n: ((n - 1) // 2, n - 4),
 }
 
@@ -181,7 +183,7 @@ class TestCaseRanges:
                 with pytest.raises(_Drew):
                     GENERATORS[kind](n, k, 0)
             else:
-                error = OutOfRegimeError if k < lo else ValueError
+                error = OutOfRegimeError if k < (n - 1) // 2 else ValueError
                 with pytest.raises(error):
                     check_case(kind, n, k)
                 with pytest.raises(error):

@@ -262,8 +262,9 @@ class TestSolveComponent:
             assert recognition._solve_component(g, n - 2) == solve_per_left(g, n - 2)
 
     def test_negative_visits_every_left(self, monkeypatch):
-        counts = {"lefts": 0, "checks": 0}
+        counts = {"lefts": 0, "chains": 0, "checks": 0}
         enumerate_real = recognition.enumerate_left_partial_layouts
+        index_real = recognition.build_blocked_index
         check_real = recognition.check_hall_and_build_right
 
         def counting_enumerate(g, k):
@@ -271,18 +272,25 @@ class TestSolveComponent:
                 counts["lefts"] += 1
                 yield left
 
+        def counting_index(g, left):
+            counts["chains"] += 1
+            return index_real(g, left)
+
         def counting_check(chain, n, k):
             counts["checks"] += 1
             return check_real(chain, n, k)
 
         monkeypatch.setattr(recognition, "enumerate_left_partial_layouts", counting_enumerate)
+        monkeypatch.setattr(recognition, "build_blocked_index", counting_index)
         monkeypatch.setattr(recognition, "check_hall_and_build_right", counting_check)
         g, _ = generate_negative_case(9, 4, seed=0)
         assert len(connected_components(g)) == 1
         assert recognize(g, 4).negative_reason == SEARCH_EXHAUSTED
         assert counts["lefts"] == factorial(9) // factorial(5) == 3024
+        # One chain per head, and one more per left that gets a Hall check.
+        assert counts["chains"] == factorial(9) // factorial(6) + counts["checks"]
         # Dead heads spare the check, never the visit.
-        assert 0 < counts["checks"] < counts["lefts"]
+        assert counts["checks"] < counts["lefts"]
 
 
 class TestAssembleCertificate:
