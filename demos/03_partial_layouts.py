@@ -48,8 +48,11 @@ for left in lefts[:4]:
         print(f"right={right}  layout={order}  bandwidth={layout_bandwidth(g, cert)}")
 
 # The first feasible left layout ends the search; that is why affirmative
-# instances are usually decided after a tiny fraction of the enumeration,
-# while negative answers must pay for all of it.
+# instances are usually decided after a tiny fraction of the enumeration.
+# A negative answer still decides every left, but the search walks heads
+# (a left less its last node, the lefts of k+1): a head whose own pools fail
+# a count rules out all its lefts at once, so a negative pays per head,
+# n!/(k+2)! of them. The paper's O(n^(n-k+1)) is still an upper bound.
 hits = sum(
     1
     for left in lefts

@@ -30,5 +30,5 @@ write_records_csv(records, buf)
 print("\nCSV head:")
 print("\n".join(buf.getvalue().splitlines()[:4]))
 
-print("\nsummary (affirmative rows end fast; negative rows pay for the full enumeration):")
+print("\nsummary (affirmative rows end fast; negative rows decide every left):")
 print(summarize(records))

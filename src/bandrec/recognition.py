@@ -21,15 +21,17 @@ order yield a valid right assignment: its last ``n-k-1`` nodes. The
 remaining nodes fill the middle positions, in ascending id order, and the
 component's certificate is the position -> node list left, middle, right.
 
-The stream of lefts is lexicographic, so the lefts that share a head (all of
-a left but its last node) come in one run. The search is one loop over those
-runs with one chain builder: it builds the head's chain
-``(unplaced', B_0, ..., B_{n-k-3})`` with the same pass as a left's, once per
-run. A left's pool ``A_j`` is its head's ``B_j`` less at most the left's last
-node, so a head pool below its need rules out every completion, and that
-head's run is passed over without a Hall check. Each left of a live head
-gets its own chain and check. Every left is still enumerated: this is the
-paper's full sweep, ``n!/(k+1)!`` lefts per negative component.
+The search walks heads, a head being all of a left but its last node. The
+heads of the ``k`` stream are exactly the lefts of ``k+1``, in the same
+lexicographic order, so they come from the same enumeration (or are just
+``()`` when there is one left position). A head's chain
+``(unplaced', B_0, ..., B_{n-k-3})`` comes from the same pass as a left's,
+and a left's pool ``A_j`` is its head's ``B_j`` less at most the left's last
+node, so a head pool below its need rules out every completion: a dead head
+is passed over with none of its lefts drawn. Each left of a live head, last
+node ascending, gets its own chain and check. Every left is still decided,
+but a negative component pays per head, ``n!/(k+2)!`` of them, plus the
+lefts of the live ones; the paper's ``O(n^(n-k+1))`` stays an upper bound.
 
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
@@ -40,8 +42,7 @@ silently falling back to another method.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, permutations
-from operator import itemgetter
+from itertools import permutations
 from typing import Iterator, Sequence
 
 from .bounds import bandwidth_bounds
@@ -81,8 +82,8 @@ class RecognitionResult:
     """Verdict plus certificate layout (on success) or the reason it failed.
 
     ``negative_reason`` is ``"bounds_cutoff"`` when a lower bound already
-    exceeds k, or ``"search_exhausted"`` when the full enumeration found no
-    feasible layout.
+    exceeds k, or ``"search_exhausted"`` when the search decided every left
+    and found no feasible layout.
     """
 
     verdict: bool
@@ -178,27 +179,31 @@ def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k:
     return [*left, *(v for v in range(g.n) if v not in used), *right]
 
 
-# A left's head: all of it but the last node. The stream is lexicographic,
-# so the lefts that share a head come in one run.
-_head = itemgetter(slice(-1))
-
-
 def _solve_component(g: Graph, k: int) -> list[int] | None:
     # The paper's sweep over one connected component: the certificate as a
-    # position -> node list, or None = infeasible. Every left is drawn from
-    # the stream, and every chain, a head's or a left's, comes from
-    # build_blocked_index. A completion's A_j is its head's B_j less at most
-    # its last node, so a head pool below its need rules out every completion
-    # and the head's run is passed over without a Hall check.
+    # position -> node list, or None = infeasible. It walks heads, a head
+    # being all of a left but its last node: exactly the lefts of k+1, or
+    # just () when there is one left position. A completion's A_j is its
+    # head's B_j less at most its last node, so a head pool below its need
+    # rules out every completion and none of them is drawn. Each completion
+    # (*head, c) of a live head, c ascending off the head, gets its own
+    # chain and Hall check, so lefts are decided in the stream's order.
+    # Every left is still decided, but a negative pays per head, n!/(k+2)!
+    # of them; the paper's O(n^(n-k+1)) stays an upper bound.
     n = g.n
     width = n - k - 1
-    for head, run in groupby(enumerate_left_partial_layouts(g, k), _head):
-        if _short(build_blocked_index(g, head), width):
+    heads = enumerate_left_partial_layouts(g, k + 1) if width > 1 else [()]
+    for head in heads:
+        chain = build_blocked_index(g, head)
+        if _short(chain, width):
             continue
-        for left in run:
-            right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
-            if right is not None:
-                return assemble_certificate(left, right, g, k)
+        unplaced = chain[0]
+        for c in range(n):
+            if unplaced >> c & 1:
+                left = (*head, c)
+                right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
+                if right is not None:
+                    return assemble_certificate(left, right, g, k)
     return None
 
 
@@ -214,8 +219,8 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     bounds once, before any search or regime error: if one exceeds ``k`` the
     answer is a negative ``bounds_cutoff``, whichever component it is. Then
     the components are solved independently in order of their smallest node
-    id, and their certificate layouts concatenated; a negative after full
-    enumeration reports ``search_exhausted``.
+    id, and their certificate layouts concatenated; a negative once every
+    left of a component is decided reports ``search_exhausted``.
     """
     n = g.n
     k = coerce_k(k)

@@ -33,7 +33,7 @@ from bandrec.recognition import (
     enumerate_left_partial_layouts,
     recognize,
 )
-from conftest import assert_certified, random_graph, regime_ks
+from conftest import all_graphs, assert_certified, random_graph, regime_ks
 
 
 @st.composite
@@ -262,15 +262,15 @@ class TestSolveComponent:
             assert recognition._solve_component(g, n - 2) == solve_per_left(g, n - 2)
 
     def test_negative_visits_every_left(self, monkeypatch):
-        counts = {"lefts": 0, "chains": 0, "checks": 0}
+        counts = {"heads": 0, "chains": 0, "checks": 0}
         enumerate_real = recognition.enumerate_left_partial_layouts
         index_real = recognition.build_blocked_index
         check_real = recognition.check_hall_and_build_right
 
         def counting_enumerate(g, k):
-            for left in enumerate_real(g, k):
-                counts["lefts"] += 1
-                yield left
+            for head in enumerate_real(g, k):
+                counts["heads"] += 1
+                yield head
 
         def counting_index(g, left):
             counts["chains"] += 1
@@ -286,11 +286,28 @@ class TestSolveComponent:
         g, _ = generate_negative_case(9, 4, seed=0)
         assert len(connected_components(g)) == 1
         assert recognize(g, 4).negative_reason == SEARCH_EXHAUSTED
-        assert counts["lefts"] == factorial(9) // factorial(5) == 3024
+        # The search draws heads, the lefts of k+1: every one of them.
+        assert counts["heads"] == factorial(9) // factorial(6) == 504
         # One chain per head, and one more per left that gets a Hall check.
-        assert counts["chains"] == factorial(9) // factorial(6) + counts["checks"]
-        # Dead heads spare the check, never the visit.
-        assert counts["checks"] < counts["lefts"]
+        assert counts["chains"] == 504 + counts["checks"]
+        # Each head decides its n-w+1 = 6 lefts; a dead one spares their checks.
+        assert counts["checks"] < 504 * (9 - 4 + 1) == 3024
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_heads_are_the_lefts_of_k_plus_1(self, n):
+        # The prefixes left[:-1] of the k stream, in order, are the k+1 stream.
+        g = empty_graph(n)
+        for k in regime_ks(n):
+            if n - k - 1 < 2:
+                continue
+            heads = list(dict.fromkeys(left[:-1] for left in enumerate_left_partial_layouts(g, k)))
+            assert list(enumerate_left_partial_layouts(g, k + 1)) == heads
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_the_per_left_sweep_on_every_small_graph(self, n):
+        for g in all_graphs(n):
+            for k in regime_ks(n):
+                assert recognition._solve_component(g, k) == solve_per_left(g, k)
 
 
 class TestAssembleCertificate:
