@@ -2,8 +2,7 @@
 
 Subcommands: recognize, bounds, bandwidth, gen, bench. Exit codes: 0 for
 success (recognize: verdict true), 1 for a false recognition verdict, 2 for
-any error. The BANDREC_SEED environment variable supplies a seed when
---seed is omitted.
+any error. gen and bench take their seed from --seed, which defaults to 0.
 """
 
 from __future__ import annotations
@@ -30,21 +29,6 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip() != ""]
 
 
-def _resolve_seed(value: int | None) -> int:
-    """--seed, else BANDREC_SEED, else 0; anything but a nonnegative integer is refused, naming its source."""
-    if value is not None:
-        source, text = "--seed", value
-    else:
-        source, text = "BANDREC_SEED", os.environ.get("BANDREC_SEED") or "0"
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1  # refused below, like a negative seed
-    if seed < 0:
-        raise ValueError(f"{source} must be a nonnegative integer, got {text!r}")
-    return seed
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandrec",
@@ -55,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="decide whether a graph has bandwidth <= k")
     p.add_argument("graph", help="edge-list graph file")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--verify", action="store_true", help="also print the certificate's measured bandwidth")
 
     p = sub.add_parser("bounds", help="print the lower bounds alpha and gamma")
     p.add_argument("graph")
@@ -69,7 +52,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="target bandwidth (affirmative/negative kinds)")
     p.add_argument("--psi", type=int, help="band half-width (banded kind)")
     p.add_argument("--p", type=float, help="edge probability (banded kind)")
-    p.add_argument("--seed", type=int, default=None, help="falls back to BANDREC_SEED, then 0")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True, help="destination graph file")
 
     # The bench defaults are BenchConfig's own, so they are stated once.
@@ -88,9 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms", default=",".join(stock.algorithms), help=f"comma-separated subset of {sorted(ALGORITHMS)}"
     )
-    p.add_argument("--seed", type=int, default=None, help="falls back to BANDREC_SEED, then 0")
-    p.add_argument("--output", required=True, help="CSV destination")
-    p.add_argument("--format", choices=["csv", "table"], default="table", help="what to print on stdout")
+    p.add_argument("--seed", type=int, default=stock.seed)
+    p.add_argument("--output", required=True, help="CSV destination; stdout gets the summary table")
     p.add_argument("--quiet", action="store_true", help="suppress per-run progress lines")
     return parser
 
@@ -101,8 +83,7 @@ def _cmd_recognize(args) -> int:
     if result.verdict:
         print("verdict=true")
         assert result.certificate is not None
-        if args.verify:
-            print(f"certificate_bandwidth={layout_bandwidth(g, result.certificate)}")
+        print(f"certificate_bandwidth={layout_bandwidth(g, result.certificate)}")
         for pos, node in enumerate(result.certificate.inverse):
             print(f"{pos}:{node}")
         return EXIT_TRUE
@@ -124,7 +105,10 @@ def _cmd_bandwidth(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = args.seed
+    if seed < 0:
+        # Refused here so the message names the option, not numpy's seed check.
+        raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
     if args.kind == "banded":
         if args.psi is None or args.p is None:
             raise ValueError("banded generation needs --psi and --p")
@@ -147,7 +131,7 @@ def _cmd_bench(args) -> int:
         timeout_s=args.timeout,
         repetitions=args.reps,
         algorithms=tuple(tok for tok in args.algorithms.split(",") if tok),
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
     )
     progress = None if args.quiet else lambda msg: print(msg, file=sys.stderr)
     # The CSV goes to a file next to --output, created up front so a bad path
@@ -165,10 +149,7 @@ def _cmd_bench(args) -> int:
     except BaseException:
         os.unlink(partial)
         raise
-    if args.format == "csv":
-        write_records_csv(records, sys.stdout)
-    else:
-        print(summarize(records))
+    print(summarize(records))
     return EXIT_TRUE
 
 

@@ -110,18 +110,20 @@ def check_case(kind: str, n: int, k: int) -> None:
 def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, Any]]:
     """Instance with bandwidth <= k whose identity labelling exceeds k.
 
-    Draws psi uniformly from {k-2, k-1, k} (clamped at 0) and p from
-    [0.3, 0.6], builds a banded graph, then draws random relabellings until
-    the identity labelling of the relabelled graph is no longer a bandwidth-k
-    witness. Each attempt is scored on the drawn graph itself, as the
-    bandwidth of the relabelling read as a layout, and only the accepted
-    relabelling is built. ``k`` is checked by :func:`check_case` before any
-    draw. Raises :class:`GenerationError` when the scramble budget runs out
-    (possible for near-edgeless draws; callers reseed).
+    Draws psi uniformly from {k-2, k-1, k} (clamped at 0, and a drawn 0
+    raised to 1) and p from [0.3, 0.6], builds a banded graph, then draws
+    random relabellings until the identity labelling of the relabelled
+    graph is no longer a bandwidth-k witness. Each attempt is scored on the
+    drawn graph itself, as the bandwidth of the relabelling read as a
+    layout, and only the accepted relabelling is built. ``k`` is checked by
+    :func:`check_case` before any draw. Raises :class:`GenerationError` when
+    the scramble budget runs out (callers reseed).
     """
     check_case(AFFIRMATIVE, n, k)
     rng = np.random.default_rng(seed)
-    psi = int(rng.integers(max(0, k - 2), k + 1))
+    # psi = 0 would draw an edgeless graph, which no scramble lifts above
+    # k >= 1; it is raised after the draw, so the random stream is unchanged.
+    psi = max(1, int(rng.integers(max(0, k - 2), k + 1)))
     p = float(rng.uniform(0.3, 0.6))
     band_seed = int(rng.integers(0, 2**63))
     g = random_banded_matrix(GenParams(n, psi, p, band_seed))

@@ -23,8 +23,8 @@ component's certificate is the position -> node list left, middle, right.
 
 The search walks heads, a head being all of a left but its last node. The
 heads of the ``k`` stream are exactly the lefts of ``k+1``, in the same
-lexicographic order, so they come from the same enumeration (or are just
-``()`` when there is one left position). A head's chain
+lexicographic order, so they come from the same enumeration; with one left
+position, that is the one empty left of ``k+1 = n-1``. A head's chain
 ``(unplaced', B_0, ..., B_{n-k-3})`` comes from the same pass as a left's,
 and a left's pool ``A_j`` is its head's ``B_j`` less at most the left's last
 node, so a head pool below its need rules out every completion: a dead head
@@ -96,14 +96,15 @@ def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[tuple[int, ...]
 
     A left partial layout is the tuple of ``n-k-1`` distinct nodes for the
     positions ``0..n-k-2``. The stream is lexicographic and contains exactly
-    ``n! / (k+1)!`` tuples; only O(n) state is held at a time. On the first
-    ``next``, a ``k`` below the regime floor raises :class:`OutOfRegimeError`
-    and one above ``n-2`` (no left positions) raises ``ValueError``.
+    ``n! / (k+1)!`` tuples, so at ``k = n-1`` it is the one empty left; only
+    O(n) state is held at a time. On the first ``next``, a ``k`` below the
+    regime floor raises :class:`OutOfRegimeError` and one above ``n-1``
+    raises ``ValueError``.
     """
     n = g.n
     require_regime(n, k)
-    if k > n - 2:
-        raise ValueError(f"k={k} leaves no left positions to enumerate for n={n}")
+    if k > n - 1:
+        raise ValueError(f"k={k} is above n-1={n - 1}, so there are no left partial layouts")
     yield from permutations(range(n), n - k - 1)
 
 
@@ -182,18 +183,17 @@ def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k:
 def _solve_component(g: Graph, k: int) -> list[int] | None:
     # The paper's sweep over one connected component: the certificate as a
     # position -> node list, or None = infeasible. It walks heads, a head
-    # being all of a left but its last node: exactly the lefts of k+1, or
-    # just () when there is one left position. A completion's A_j is its
-    # head's B_j less at most its last node, so a head pool below its need
-    # rules out every completion and none of them is drawn. Each completion
-    # (*head, c) of a live head, c ascending off the head, gets its own
-    # chain and Hall check, so lefts are decided in the stream's order.
+    # being all of a left but its last node: exactly the lefts of k+1, so
+    # the one empty head when there is one left position. A completion's
+    # A_j is its head's B_j less at most its last node, so a head pool below
+    # its need rules out every completion and none of them is drawn. Each
+    # completion (*head, c) of a live head, c ascending off the head, gets
+    # its own chain and Hall check, so lefts are decided in the stream's order.
     # Every left is still decided, but a negative pays per head, n!/(k+2)!
     # of them; the paper's O(n^(n-k+1)) stays an upper bound.
     n = g.n
     width = n - k - 1
-    heads = enumerate_left_partial_layouts(g, k + 1) if width > 1 else [()]
-    for head in heads:
+    for head in enumerate_left_partial_layouts(g, k + 1):
         chain = build_blocked_index(g, head)
         if _short(chain, width):
             continue
@@ -212,20 +212,20 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
 
     Requires ``k >= floor((n_C - 1) / 2)`` for every connected component of
     size ``n_C`` that actually needs searching; other inputs raise
-    :class:`OutOfRegimeError`. ``k >= n-1`` is accepted and trivially true.
-    ``k`` goes through :func:`coerce_k`.
+    :class:`OutOfRegimeError`. ``k`` goes through :func:`coerce_k`.
 
-    The verdict is exact. Every component with ``k < n_C - 1`` gets its lower
-    bounds once, before any search or regime error: if one exceeds ``k`` the
+    The verdict is exact. A component with ``k >= n_C - 1`` is trivially
+    laid out, its nodes in ascending id (so ``k >= n-1`` on a connected
+    graph gives the identity). Every other component gets its lower bounds
+    once, before any search or regime error: if one exceeds ``k`` the
     answer is a negative ``bounds_cutoff``, whichever component it is. Then
     the components are solved independently in order of their smallest node
-    id, and their certificate layouts concatenated; a negative once every
-    left of a component is decided reports ``search_exhausted``.
+    id, and their certificate layouts concatenated, and the whole
+    certificate is re-checked; a negative once every left of a component is
+    decided reports ``search_exhausted``.
     """
     n = g.n
     k = coerce_k(k)
-    if k >= n - 1:
-        return RecognitionResult(True, Layout.identity(n))
 
     # Whole-graph alpha is the largest component alpha and whole-graph gamma
     # the smallest component gamma, and a component with k >= n_C - 1 has

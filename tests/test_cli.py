@@ -32,7 +32,7 @@ class TestRecognizeCommand:
         assert capsys.readouterr().out.strip() == "verdict=false reason=bounds_cutoff"
 
     def test_affirmative_identity_certificate(self, edgeless6_file, capsys):
-        assert main(["recognize", edgeless6_file, "--k", "3", "--verify"]) == 0
+        assert main(["recognize", edgeless6_file, "--k", "3"]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "verdict=true"
         assert out[1] == "certificate_bandwidth=0"
@@ -76,12 +76,13 @@ class TestOtherCommands:
         assert g.n == 10
         assert all(v - u <= 3 for u, v in g.edges)
 
-    def test_gen_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
+    def test_gen_seed_defaults_to_0(self, tmp_path, monkeypatch, capsys):
+        # The environment has no say: --seed is the only seed source.
         monkeypatch.setenv("BANDREC_SEED", "321")
         a, b = tmp_path / "a.graph", tmp_path / "b.graph"
         base = ["gen", "--kind", "affirmative", "--n", "12", "--k", "10"]
         assert main(base + ["--output", str(a)]) == 0
-        assert main(base + ["--seed", "321", "--output", str(b)]) == 0
+        assert main(base + ["--seed", "0", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_gen_negative_seed_is_named(self, tmp_path, capsys):
@@ -89,12 +90,6 @@ class TestOtherCommands:
         assert main(argv) == 2
         assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
-
-    def test_gen_bad_env_seed_is_named(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BANDREC_SEED", "abc")
-        argv = ["gen", "--kind", "affirmative", "--n", "12", "--k", "10", "--output", str(tmp_path / "x")]
-        assert main(argv) == 2
-        assert "BANDREC_SEED must be a nonnegative integer, got 'abc'" in capsys.readouterr().err
 
     def test_gen_affirmative_k_out_of_range(self, tmp_path, capsys):
         argv = ["gen", "--kind", "affirmative", "--n", "10", "--k", "9", "--output", str(tmp_path / "x")]
@@ -129,17 +124,6 @@ class TestBenchCommand:
         assert len(rows) == 2
         assert all(row["status"] == "solved" and row["verdict"] == "true" for row in rows)
         assert "(12,10)" in capsys.readouterr().out
-
-    def test_csv_format_prints_rows(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        argv = [
-            "bench", "--sizes", "12", "--k-offsets-affirmative", "-2",
-            "--k-offsets-negative=", "--cases", "1", "--reps", "3",
-            "--seed", "9", "--output", str(out), "--format", "csv", "--quiet",
-        ]
-        assert main(argv) == 0
-        stdout = capsys.readouterr().out
-        assert stdout.startswith("instance_id,")
 
     def test_invalid_config(self, tmp_path, capsys):
         argv = [

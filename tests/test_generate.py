@@ -87,11 +87,18 @@ class TestAffirmativeCases:
 
     def test_small_k_clamps_psi(self):
         g, meta = generate_affirmative_case(4, 2, seed=1)
-        assert 0 <= meta["psi"] <= 2
+        assert 1 <= meta["psi"] <= 2
 
-    def test_budget_exhaustion(self):
-        # At n=3, k=1, seed 1 draws psi = 0: the edgeless draw can never
-        # scramble past bandwidth 1, so the retry budget must trip.
+    @pytest.mark.parametrize("n,k", [(3, 1), (5, 2)])
+    def test_small_k_never_draws_an_edgeless_graph(self, n, k):
+        # psi = 0 would be edgeless, and no scramble lifts that above k.
+        for seed in range(60):
+            g, meta = generate_affirmative_case(n, k, seed)
+            assert meta["psi"] >= 1
+            assert layout_bandwidth(g, Layout.identity(n)) > k
+
+    def test_budget_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(generate, "AFFIRMATIVE_SCRAMBLE_BUDGET", 0)
         with pytest.raises(GenerationError):
             generate_affirmative_case(3, 1, seed=1)
 

@@ -82,7 +82,7 @@ class TestEnumeration:
 
     def test_counts_every_regime_k_up_to_n8(self):
         for n in range(2, 9):
-            for k in range((n - 1) // 2, n - 1):
+            for k in range((n - 1) // 2, n):
                 stream = enumerate_left_partial_layouts(empty_graph(n), k)
                 assert sum(1 for _ in stream) == factorial(n) // factorial(k + 1)
 
@@ -99,7 +99,12 @@ class TestEnumeration:
                     assert len(left) == len(set(left)) == n - k - 1
                     assert set(left) <= set(range(n))
 
-    @pytest.mark.parametrize("k", [-1, 1, 5])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_k_n_minus_1_yields_the_empty_left(self, n):
+        # n!/(k+1)! = 1 at k = n-1: the one left with no positions.
+        assert list(enumerate_left_partial_layouts(empty_graph(n), n - 1)) == [()]
+
+    @pytest.mark.parametrize("k", [-1, 1, 6])
     def test_out_of_range_k_rejected(self, k):
         with pytest.raises(ValueError):
             next(iter(enumerate_left_partial_layouts(empty_graph(6), k)))
@@ -298,10 +303,18 @@ class TestSolveComponent:
         # The prefixes left[:-1] of the k stream, in order, are the k+1 stream.
         g = empty_graph(n)
         for k in regime_ks(n):
-            if n - k - 1 < 2:
-                continue
             heads = list(dict.fromkeys(left[:-1] for left in enumerate_left_partial_layouts(g, k)))
             assert list(enumerate_left_partial_layouts(g, k + 1)) == heads
+
+    def test_one_left_position_draws_its_head_from_the_enumerator(self, monkeypatch):
+        calls = []
+        real = recognition.enumerate_left_partial_layouts
+        monkeypatch.setattr(
+            recognition, "enumerate_left_partial_layouts", lambda g, k: calls.append((g.n, k)) or real(g, k)
+        )
+        g = cycle_graph(5)
+        assert_certified(g, 3, recognize(g, 3))
+        assert calls == [(5, 4)]
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_the_per_left_sweep_on_every_small_graph(self, n):
@@ -358,6 +371,18 @@ class TestRecognize:
         assert result.verdict
         assert result.certificate == Layout.identity(4)
         assert recognize(complete_graph(4), 99).verdict
+
+    def test_trivial_k_on_a_disconnected_graph_is_rechecked(self, monkeypatch):
+        # Each component is trivial at k = 3, laid out in ascending id, and
+        # the concatenation goes through the same re-check as every yes.
+        checked = []
+        real = recognition.layout_bandwidth
+        monkeypatch.setattr(recognition, "layout_bandwidth", lambda g, layout: checked.append(g) or real(g, layout))
+        g = Graph(4, [(0, 2)])
+        result = recognize(g, 3)
+        assert result.verdict
+        assert result.certificate.inverse == (0, 2, 1, 3)
+        assert checked == [g]
 
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
