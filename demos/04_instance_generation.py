@@ -13,6 +13,7 @@ from bandrec import (
     recognize,
     write_graph_text,
 )
+from bandrec.baselines import bandwidth_at_most
 
 # A banded draw keeps every edge within distance psi of the diagonal and
 # tops up any unused distance in 1..psi, so bandwidth <= psi by construction.
@@ -33,9 +34,11 @@ print("\naffirmative case: identity bandwidth", meta["identity_bandwidth"], "> k
 print("  recognizer still finds a layout:", recognize(aff, 8).verdict)
 
 # Negative cases are rejection-sampled so that neither lower bound exceeds k
-# (no cheap dismissal) yet the true bandwidth does: the recognizer has to
+# (no cheap dismissal) yet the true bandwidth does, as decided by the
+# deadline-search oracle, not by the recognizer: the recognizer has to
 # exhaust the whole enumeration to say no.
 neg, meta = generate_negative_case(n=12, k=8, seed=21)
 print("\nnegative case: bounds", bandwidth_bounds(neg), "<= k = 8")
+print("  oracle: bandwidth <= 8 is", bandwidth_at_most(neg, 8))
 result = recognize(neg, 8)
 print("  verdict:", result.verdict, "| reason:", result.negative_reason)

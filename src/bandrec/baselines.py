@@ -7,8 +7,11 @@ the neighbourhoods of the left nodes more than ``k`` positions away.
 ``exact_bandwidth_bruteforce`` minimises the layout bandwidth over every
 layout outright, read from a cached column-major table of the n!/2 layouts
 that put node 0 left of node 1 (each other layout is the reverse of one of
-these). Both are meant for small n. They share only the ``k`` input checks
-with the fast path (:func:`~bandrec.recognition.coerce_k` and
+these). Both are meant for small n. ``bandwidth_at_most`` decides
+bandwidth <= k at any n by a deadline search over positions, and labels
+every generated negative. The oracles share only the ``k`` input check
+:func:`~bandrec.recognition.coerce_k` with the fast path (and
+``naive_recognition`` its regime rule,
 :func:`~bandrec.recognition.require_regime`), so they have something
 independent to disagree with.
 """
@@ -120,3 +123,65 @@ def exact_bandwidth_bruteforce(g: Graph) -> int:
         np.abs(gap, out=gap)
         np.maximum(worst, gap, out=worst)
     return int(worst.min())
+
+
+def bandwidth_at_most(g: Graph, k: int) -> bool:
+    """Whether ``g`` has bandwidth at most ``k``, by a deadline search over positions.
+
+    Each connected component is decided on its own, since a graph's
+    bandwidth is the largest of its components'. A depth-first search fills
+    the component's positions left to right. A node placed at position
+    ``q`` gives each unplaced neighbour the deadline ``q + k``; an unplaced
+    node's deadline is the earliest such one, or the last position when it
+    has no placed neighbour. Before position ``p`` is filled, the ``i``-th
+    earliest deadline must be at least ``p + i``, or those ``i+1`` nodes
+    cannot all be placed in time, and the branch is cut. This is the
+    positional search of Saxe (1980) and of MB-ID (Del Corso & Manzini,
+    *Computing* 1999). ``k`` goes through
+    :func:`~bandrec.recognition.coerce_k`, and there is no regime floor.
+    The search is exponential in the worst case, and it recurses once per
+    position of a component.
+    """
+    k = coerce_k(k)
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    unseen = set(range(g.n))
+    while unseen:
+        component = {min(unseen)}
+        frontier = list(component)
+        while frontier:
+            for u in adj[frontier.pop()]:
+                if u not in component:
+                    component.add(u)
+                    frontier.append(u)
+        unseen -= component
+        if not _lay_out(adj, component, k):
+            return False
+    return True
+
+
+def _lay_out(adj: list[list[int]], unplaced: set[int], k: int) -> bool:
+    # The deadline search over one component's nodes, which it consumes:
+    # True iff they fill positions 0..size-1 with every edge within k.
+    deadline = dict.fromkeys(unplaced, len(unplaced) - 1)
+
+    def fill(p: int) -> bool:
+        if not unplaced:
+            return True
+        for v in sorted(unplaced):
+            unplaced.remove(v)
+            moved = [(u, deadline[u]) for u in adj[v] if u in unplaced and deadline[u] > p + k]
+            for u, _ in moved:
+                deadline[u] = p + k
+            # The i-th earliest deadline left must reach position p+1+i.
+            ordered = sorted(deadline[u] for u in unplaced)
+            if all(d > p + i for i, d in enumerate(ordered)) and fill(p + 1):
+                return True
+            for u, d in moved:
+                deadline[u] = d
+            unplaced.add(v)
+        return False
+
+    return fill(0)

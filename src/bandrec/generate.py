@@ -7,9 +7,10 @@ bandwidth at most psi. Affirmative benchmark cases scramble such a graph
 with random layouts until the identity labelling stops being a witness, so
 a recognizer has to actually find one; each attempt is scored on the drawn
 graph, and only the accepted scramble is built as a graph. Negative cases
-rejection-sample denser, wider bands until the bandwidth provably exceeds k
-while both lower bounds stay at or below k, which rules out trivial
-bounds-based dismissal.
+rejection-sample denser, wider bands until the bandwidth exceeds k while
+both lower bounds stay at or below k, which rules out trivial bounds-based
+dismissal; the bandwidth is decided by the deadline-search oracle
+:func:`~bandrec.baselines.bandwidth_at_most`, never by the recognizer.
 The two case kinds, the ``k`` range of each (:func:`check_case`) and the
 generator of each (``GENERATORS``) are defined here for the whole package.
 
@@ -25,10 +26,10 @@ from typing import Any
 
 import numpy as np
 
-from .baselines import BRUTEFORCE_MAX_NODES, exact_bandwidth_bruteforce
+from .baselines import bandwidth_at_most
 from .bounds import bandwidth_bounds
 from .graph import Graph, Layout, layout_bandwidth
-from .recognition import recognize, regime_floor, require_regime
+from .recognition import regime_floor, require_regime
 
 AFFIRMATIVE = "affirmative"
 NEGATIVE = "negative"
@@ -153,10 +154,10 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     """Instance with bandwidth > k that both lower bounds fail to expose.
 
     Repeatedly draws psi from {k+1, k+2, k+3} and p from [0.85, 0.95] until
-    the sample satisfies max(alpha, gamma) <= k and bandwidth > k. The
-    bandwidth check uses the brute-force oracle when n permits, whose value
-    is kept as ``meta["bandwidth"]``, and the recognizer itself otherwise
-    (no such key). ``k`` is checked by :func:`check_case` before any draw.
+    the sample satisfies max(alpha, gamma) <= k and bandwidth > k, the
+    latter decided by :func:`~bandrec.baselines.bandwidth_at_most` at every
+    ``n``, so no instance is labelled by the recognizer it tests. ``k`` is
+    checked by :func:`check_case` before any draw.
     Raises :class:`GenerationError` when the attempt budget is exhausted.
 
     :func:`check_case` admits ``k = n-4`` at any ``n``, but near that
@@ -172,29 +173,17 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
         p = float(rng.uniform(0.85, 0.95))
         band_seed = int(rng.integers(0, 2**63))
         g = random_banded_matrix(GenParams(n, psi, p, band_seed))
-        if bandwidth_bounds(g).combined > k:
+        if bandwidth_bounds(g).combined > k or bandwidth_at_most(g, k):
             continue
-        if n <= BRUTEFORCE_MAX_NODES:
-            verifier = "bruteforce"
-            bandwidth = exact_bandwidth_bruteforce(g)
-            exceeds = bandwidth > k
-        else:
-            verifier = "recognize"
-            exceeds = not recognize(g, k).verdict
-        if exceeds:
-            meta = {
-                "kind": NEGATIVE,
-                "n": n,
-                "k": k,
-                "psi": psi,
-                "p": p,
-                "band_seed": band_seed,
-                "attempts": attempt,
-                "verifier": verifier,
-            }
-            if verifier == "bruteforce":
-                meta["bandwidth"] = bandwidth
-            return g, meta
+        return g, {
+            "kind": NEGATIVE,
+            "n": n,
+            "k": k,
+            "psi": psi,
+            "p": p,
+            "band_seed": band_seed,
+            "attempts": attempt,
+        }
     raise GenerationError(f"no negative instance found in {NEGATIVE_SAMPLE_BUDGET} attempts")
 
 

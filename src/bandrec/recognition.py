@@ -35,8 +35,9 @@ lefts of the live ones; the paper's ``O(n^(n-k+1))`` stays an upper bound.
 
 This is worthwhile only when ``k >= floor((n-1)/2)``; below that the left
 and right position blocks would overlap and the decomposition breaks down.
-Inputs outside the regime raise :class:`OutOfRegimeError` rather than
-silently falling back to another method.
+A component outside the regime raises :class:`OutOfRegimeError` rather than
+silently falling back to another method, unless another component already
+proves the answer is no.
 """
 
 from __future__ import annotations
@@ -210,19 +211,18 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
 def recognize(g: Graph, k: int) -> RecognitionResult:
     """Decide whether ``g`` has bandwidth at most ``k``; certify when it does.
 
-    Requires ``k >= floor((n_C - 1) / 2)`` for every connected component of
-    size ``n_C`` that actually needs searching; other inputs raise
-    :class:`OutOfRegimeError`. ``k`` goes through :func:`coerce_k`.
-
-    The verdict is exact. A component with ``k >= n_C - 1`` is trivially
-    laid out, its nodes in ascending id (so ``k >= n-1`` on a connected
-    graph gives the identity). Every other component gets its lower bounds
-    once, before any search or regime error: if one exceeds ``k`` the
-    answer is a negative ``bounds_cutoff``, whichever component it is. Then
-    the components are solved independently in order of their smallest node
-    id, and their certificate layouts concatenated, and the whole
-    certificate is re-checked; a negative once every left of a component is
-    decided reports ``search_exhausted``.
+    ``k`` goes through :func:`coerce_k`. The verdict is exact, and it does
+    not depend on the node ids. A component with ``k >= n_C - 1`` is
+    trivially laid out, its nodes in ascending id (so ``k >= n-1`` on a
+    connected graph gives the identity). Every other component gets its
+    lower bounds once, before any search: if one exceeds ``k`` the answer is
+    a negative ``bounds_cutoff``, whichever component it is. Then every
+    component with ``k >= floor((n_C - 1) / 2)`` is solved, in order of its
+    smallest node id; a negative once every left of one of them is decided
+    reports ``search_exhausted``, whichever component it is. Only when all
+    of them say yes does a component below that floor raise
+    :class:`OutOfRegimeError`. Otherwise the components' certificate layouts
+    are concatenated, and the whole certificate is re-checked.
     """
     n = g.n
     k = coerce_k(k)
@@ -232,6 +232,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     # both at most k; so a whole-graph bound above k is always a bound above
     # k of one of the components bounded here.
     parts: list[tuple[Graph | None, Sequence[int]]] = []
+    outside: list[int] = []
     for component in connected_components(g):
         size = len(component)
         if k >= size - 1:
@@ -241,18 +242,22 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
         sub, mapping = (g, component) if size == n else g.subgraph(component)
         if k < bandwidth_bounds(sub).combined:
             return RecognitionResult(False, None, BOUNDS_CUTOFF)
-        parts.append((sub, mapping))
+        if k < regime_floor(size):
+            outside.append(size)
+        else:
+            parts.append((sub, mapping))
 
     inverse: list[int] = []
     for sub, mapping in parts:
         if sub is None:
             inverse.extend(mapping)
             continue
-        require_regime(sub.n, k)
         order = _solve_component(sub, k)
         if order is None:
             return RecognitionResult(False, None, SEARCH_EXHAUSTED)
         inverse.extend(mapping[v] for v in order)
+    if outside:
+        require_regime(outside[0], k)
 
     certificate = Layout.from_inverse(inverse)
     # An explicit check, not an assert, so the certificate is re-checked under -O too.

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bandrec import recognition
+from bandrec import graph, recognition
 from bandrec.baselines import (
     BRUTEFORCE_MAX_NODES,
     _half_table,
+    bandwidth_at_most,
     exact_bandwidth_bruteforce,
     naive_recognition,
 )
 from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
 from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import SEARCH_EXHAUSTED, OutOfRegimeError, recognize
-from conftest import assert_certified, random_graph, regime_ks
+from bandrec.generate import generate_negative_case
+from conftest import all_graphs, assert_certified, random_graph, regime_ks
 
 
 class TestExactBandwidthBruteforce:
@@ -152,6 +154,68 @@ class TestNaiveRecognition:
                 if fast.verdict:
                     assert_certified(g, k, fast)
                     assert_certified(g, k, slow)
+
+
+class TestBandwidthAtMost:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_bruteforce_on_every_small_graph(self, n):
+        for g in all_graphs(n):
+            beta = exact_bandwidth_bruteforce(g)
+            for k in range(n):
+                assert bandwidth_at_most(g, k) == (beta <= k), f"k={k} edges={g.edges}"
+
+    def test_matches_bruteforce_on_random_graphs(self, rng):
+        for _ in range(120):
+            n = int(rng.integers(7, 10))
+            g = random_graph(rng, n, float(rng.uniform(0.1, 0.9)))
+            beta = exact_bandwidth_bruteforce(g)
+            for k in range(n):
+                assert bandwidth_at_most(g, k) == (beta <= k), f"n={n} k={k} edges={g.edges}"
+
+    def test_no_regime_floor(self):
+        # recognize refuses P_8 at k=2 and below; the oracle decides any k.
+        assert bandwidth_at_most(path_graph(8), 1)
+        assert not bandwidth_at_most(path_graph(8), 0)
+        assert bandwidth_at_most(empty_graph(8), 0)
+        assert not bandwidth_at_most(cycle_graph(12), 1)
+        assert bandwidth_at_most(Graph(1), 0)
+
+    def test_components_are_decided_apart(self):
+        # A 9-node negative among 40 isolated nodes: searched as one
+        # component, every order of the isolated nodes would be tried.
+        neg, _ = generate_negative_case(9, 4, seed=0)
+        g = Graph(49, [(u + 20, v + 20) for u, v in neg.edges])
+        assert not bandwidth_at_most(g, 4)
+        assert bandwidth_at_most(g, 8)
+
+    def test_k_coerced_like_the_engine(self):
+        assert bandwidth_at_most(cycle_graph(5), np.int64(2))
+        for k in (True, 2.5):
+            with pytest.raises(TypeError):
+                bandwidth_at_most(cycle_graph(5), k)
+        with pytest.raises(ValueError):
+            bandwidth_at_most(cycle_graph(5), -1)
+
+    def test_shares_no_code_with_the_engine(self, monkeypatch):
+        def engine(*args, **kwargs):
+            raise AssertionError("the oracle called into the engine")
+
+        for name in (
+            "recognize",
+            "_solve_component",
+            "enumerate_left_partial_layouts",
+            "build_blocked_index",
+            "check_hall_and_build_right",
+            "assemble_certificate",
+            "bandwidth_bounds",
+            "connected_components",
+            "require_regime",
+        ):
+            monkeypatch.setattr(recognition, name, engine)
+        monkeypatch.setattr(graph, "connected_components", engine)
+        monkeypatch.setattr(Graph, "subgraph", engine)
+        assert bandwidth_at_most(cycle_graph(5), 2)
+        assert not bandwidth_at_most(complete_graph(4), 2)
 
 
 # Both deciders take k by the rule node ids follow: operator.index, bool refused.

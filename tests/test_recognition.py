@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from bisect import bisect_right
+from functools import cache
 from itertools import combinations, permutations
 from math import factorial
 from pathlib import Path
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 import bandrec
 from bandrec import recognition
-from bandrec.baselines import exact_bandwidth_bruteforce
+from bandrec.baselines import bandwidth_at_most, exact_bandwidth_bruteforce
 from bandrec.families import (
     complete_graph,
     cycle_graph,
@@ -21,7 +22,12 @@ from bandrec.families import (
     path_graph,
     star_graph,
 )
-from bandrec.generate import GenParams, generate_negative_case, random_banded_matrix
+from bandrec.generate import (
+    GenParams,
+    generate_affirmative_case,
+    generate_negative_case,
+    random_banded_matrix,
+)
 from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import (
     BOUNDS_CUTOFF,
@@ -65,6 +71,16 @@ def feasible_right_exists(g, k, left):
         ):
             return True
     return False
+
+
+def disjoint_union(pieces, order):
+    """The pieces side by side, node ``i`` of the concatenation renamed ``order[i]``."""
+    edges = []
+    offset = 0
+    for piece in pieces:
+        edges.extend((order[u + offset], order[v + offset]) for u, v in piece.edges)
+        offset += piece.n
+    return Graph(offset, edges)
 
 
 class TestEnumeration:
@@ -397,6 +413,19 @@ class TestRecognize:
         with pytest.raises(OutOfRegimeError):
             recognize(g, 2)
 
+    @pytest.mark.parametrize("in_regime", ["negative", "yes"])
+    def test_answer_does_not_depend_on_which_component_comes_first(self, in_regime):
+        # P_8 is below its floor at k=2. A search-negative piece answers no
+        # in either id order; a yes piece leaves the raise in either order.
+        piece = generate_negative_case(6, 2, seed=5)[0] if in_regime == "negative" else cycle_graph(5)
+        for pieces in ([piece, path_graph(8)], [path_graph(8), piece]):
+            g = disjoint_union(pieces, range(piece.n + 8))
+            if in_regime == "negative":
+                assert recognize(g, 2).negative_reason == SEARCH_EXHAUSTED
+            else:
+                with pytest.raises(OutOfRegimeError):
+                    recognize(g, 2)
+
     def test_search_exhausted_reason(self):
         g, _ = generate_negative_case(6, 2, seed=5)
         result = recognize(g, 2)
@@ -507,6 +536,22 @@ class TestRecognize:
                 if result.verdict:
                     assert_certified(g, k, result)
 
+    def test_agrees_with_the_deadline_oracle_above_bruteforce(self, rng):
+        # Connected graphs past brute force's n <= 9, at k = n-4 .. n-2.
+        reasons = set()
+        searched = 0
+        while searched < 100:
+            n = int(rng.integers(10, 13))
+            g = random_graph(rng, n, float(rng.uniform(0.5, 0.95)))
+            if len(connected_components(g)) != 1:
+                continue
+            searched += 1
+            for k in range(n - 4, n - 1):
+                result = recognize(g, k)
+                assert result.verdict == bandwidth_at_most(g, k), f"n={n} k={k} edges={g.edges}"
+                reasons.add(result.negative_reason)
+        assert SEARCH_EXHAUSTED in reasons and None in reasons
+
     def test_concurrent_calls_share_graphs_safely(self, rng):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -545,3 +590,79 @@ class TestRecognize:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("RuntimeError: certificate"), proc.stdout
+
+
+# Pieces whose answer at k alone is known, one of each kind of answer:
+# "outside" is a path below its regime floor (it raises), "cut" a clique the
+# bounds dismiss, "negative" a bounds-invisible negative the search must
+# exhaust, and "yes" a scrambled affirmative.
+PIECE_ANSWERS = {"outside": "raise", "cut": BOUNDS_CUTOFF, "negative": SEARCH_EXHAUSTED, "yes": True}
+
+
+@cache
+def answer_piece(kind, k, seed):
+    if kind == "outside":
+        return path_graph(2 * k + 3 + seed % 2)
+    if kind == "cut":
+        return complete_graph(k + 2)
+    if kind == "negative":
+        return generate_negative_case(2 * k + 2, k, seed)[0]
+    return generate_affirmative_case(2 * k + 1, k, seed)[0]
+
+
+def answer(g, k):
+    """``recognize``'s answer: True, the negative reason, or "raise"."""
+    try:
+        result = recognize(g, k)
+    except OutOfRegimeError:
+        return "raise"
+    if result.verdict:
+        assert_certified(g, k, result)
+        return True
+    return result.negative_reason
+
+
+@st.composite
+def piece_unions(draw):
+    """Up to five answer pieces at k = 2 or 3, and a random id order."""
+    k = draw(st.sampled_from([2, 3]))
+    kinds = draw(st.lists(st.sampled_from(sorted(PIECE_ANSWERS)), min_size=1, max_size=5))
+    pieces = [answer_piece(kind, k, draw(st.integers(0, 2))) for kind in kinds]
+    order = draw(st.permutations(range(sum(piece.n for piece in pieces))))
+    return k, kinds, pieces, order
+
+
+class TestMetamorphic:
+    """Relations between answers that need no oracle, so they hold at any n."""
+
+    def test_each_piece_answers_as_labelled(self):
+        for kind, expected in PIECE_ANSWERS.items():
+            for k in (2, 3):
+                for seed in range(3):
+                    assert answer(answer_piece(kind, k, seed), k) == expected
+
+    @given(piece_unions())
+    @settings(max_examples=120, deadline=None)
+    def test_relabelling_keeps_the_answer(self, case):
+        # The order and its reverse: near the identity, hypothesis's simplest
+        # order, the reverse still puts the pieces' smallest ids the other way round.
+        k, _, pieces, order = case
+        assert answer(disjoint_union(pieces, order), k) == answer(disjoint_union(pieces, order[::-1]), k)
+
+    @given(piece_unions())
+    @settings(max_examples=120, deadline=None)
+    def test_union_is_the_and_of_its_parts(self, case):
+        # A three-valued AND: any no makes the union no, a bounds cutoff
+        # winning over an exhausted search; otherwise any raise makes it
+        # raise; otherwise it is yes.
+        k, kinds, pieces, order = case
+        parts = {PIECE_ANSWERS[kind] for kind in kinds}
+        if BOUNDS_CUTOFF in parts:
+            expected = BOUNDS_CUTOFF
+        elif SEARCH_EXHAUSTED in parts:
+            expected = SEARCH_EXHAUSTED
+        elif "raise" in parts:
+            expected = "raise"
+        else:
+            expected = True
+        assert answer(disjoint_union(pieces, order), k) == expected
