@@ -4,8 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from bandrec import generate, recognition
-from bandrec.baselines import exact_bandwidth_bruteforce
+from bandrec import baselines, generate, recognition
+from bandrec.baselines import bandwidth_at_most, exact_bandwidth_bruteforce
 from bandrec.bench import BenchConfig, BenchConfigError
 from bandrec.bounds import bandwidth_bounds
 from bandrec.families import complete_graph
@@ -128,7 +128,33 @@ class TestNegativeCases:
         g, meta = generate_negative_case(n, k, seed=seed)
         assert exact_bandwidth_bruteforce(g) > k
         assert not recognize(g, k).verdict
-        assert sorted(meta) == ["attempts", "band_seed", "k", "kind", "n", "p", "psi"]
+
+    def test_small_n_uses_the_deadline_oracle(self, monkeypatch):
+        # Below n = 10 the generator used to label by brute force; it now
+        # asks the deadline search at every n.
+        def engine(*args, **kwargs):
+            raise AssertionError("a small negative was not labelled by the deadline search")
+
+        labels = []
+
+        def oracle(g, k):
+            labels.append(bandwidth_at_most(g, k))
+            return labels[-1]
+
+        monkeypatch.setattr(baselines, "exact_bandwidth_bruteforce", engine)
+        monkeypatch.setattr(recognition, "recognize", engine)
+        monkeypatch.setattr(generate, "bandwidth_at_most", oracle)
+        g, _ = generate_negative_case(8, 4, seed=2)
+        assert labels and labels[-1] is False
+        monkeypatch.undo()
+        assert exact_bandwidth_bruteforce(g) > 4
+
+    def test_meta_keeps_no_label(self):
+        # Neither side of the old n <= 9 fork keeps a verifier name or a
+        # bandwidth value.
+        for n, k, seed in [(8, 4, 2), (12, 8, 21)]:
+            _, meta = generate_negative_case(n, k, seed=seed)
+            assert sorted(meta) == ["attempts", "band_seed", "k", "kind", "n", "p", "psi"]
 
     @pytest.mark.parametrize("n,k", [(12, 8), (14, 8)])
     def test_labelled_without_the_recognizer(self, monkeypatch, n, k):
