@@ -129,7 +129,9 @@ def bandwidth_at_most(g: Graph, k: int) -> bool:
     """Whether ``g`` has bandwidth at most ``k``, by a deadline search over positions.
 
     Each connected component is decided on its own, since a graph's
-    bandwidth is the largest of its components'. A depth-first search fills
+    bandwidth is the largest of its components'. A component of at most
+    ``k+1`` nodes fits in any order, as no two of its positions are more
+    than ``k`` apart, so it is never searched. A depth-first search fills
     the component's positions left to right. A node placed at position
     ``q`` gives each unplaced neighbour the deadline ``q + k``; an unplaced
     node's deadline is the earliest such one, or the last position when it
@@ -157,7 +159,7 @@ def bandwidth_at_most(g: Graph, k: int) -> bool:
                     component.add(u)
                     frontier.append(u)
         unseen -= component
-        if not _lay_out(adj, component, k):
+        if len(component) > k + 1 and not _lay_out(adj, component, k):
             return False
     return True
 

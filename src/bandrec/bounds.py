@@ -2,8 +2,8 @@
 
 Both bounds scan every node's cumulative neighbourhood sizes: a node with
 many nodes within distance d forces large label gaps no matter how it is
-placed. The sweep reads the graph's frontier walk directly, one bitmask BFS
-per node that ORs each reachable node's mask once and adds up each layer's
+placed. The sweep runs one bitmask BFS per node over the graph's neighbour
+masks, ORing each reachable node's mask once and adding up each layer's
 popcount, so it costs O(n^2) big-integer operations and O(n) auxiliary
 space. For a disconnected graph the scan is confined to each node's own
 component, which keeps both quantities valid lower bounds on the overall
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, _frontier_walk
+from .graph import Graph
 
 
 @dataclass(frozen=True)
@@ -47,17 +47,32 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
 
     Per node ``v`` the sweep takes ``c_v = max_d ceil(|N_d(v)| / d)``, where
     ``N_d(v)`` holds the nodes at distance 1 to ``d`` from ``v``: its size is
-    the running sum of the popcounts of the frontier walk's layers. Since
-    ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling is
-    monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
+    the running sum of the popcounts of the breadth-first layers from ``v``.
+    Since ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling
+    is monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
     ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``.
     """
+    masks = g.neighbor_masks
     high = 0
     low = g.n  # above every c_v, which is at most n-1
     for v in range(g.n):
-        c = size = 0
-        for d, layer in enumerate(_frontier_walk(g, v), start=1):
-            size += layer.bit_count()
+        # Layer d is the frontier: the nodes at distance exactly d. The walk
+        # and its set-bit loop are inlined, with no generator, as this is the
+        # inner loop of every bounds call.
+        c = size = d = 0
+        seen = frontier = 1 << v
+        while True:
+            reach = 0
+            while frontier:
+                bit = frontier & -frontier
+                reach |= masks[bit.bit_length() - 1]
+                frontier ^= bit
+            frontier = reach & ~seen
+            if not frontier:
+                break
+            seen |= frontier
+            d += 1
+            size += frontier.bit_count()
             ratio = -(-size // d)
             if ratio > c:
                 c = ratio

@@ -6,14 +6,15 @@ before construction. Graphs are undirected and simple (no self-loops).
 hand-written ``__init__``s, so they compare, hash, copy and pickle by value.
 One function writes both stored forms of a graph, the sorted edge tuple and
 the per-node bitmasks built from it, and refuses zero nodes. Edge queries
-test one bit; breadth-first walks OR a frontier's masks.
+test one bit; breadth-first walks OR a frontier's masks, each with its own
+inlined set-bit loop.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 def _integer(v: object, what: str) -> int:
@@ -30,14 +31,6 @@ def _node(v: object, n: int) -> int:
     if not (0 <= v < n):
         raise ValueError(f"node {v} out of range for n={n}")
     return v
-
-
-def _bits(mask: int) -> Iterator[int]:
-    # Indices of the set bits of ``mask``, ascending.
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _fill(g: Graph, n: int, edges: Sequence[tuple[int, int]]) -> Graph:
@@ -132,19 +125,22 @@ class Graph:
         of this graph, checked as :class:`Graph` checks edge endpoints, and
         non-empty: a graph has at least one node.
         """
-        member = count = 0
-        for v in nodes:
-            member |= 1 << _node(v, self.n)
-            count += 1
-        mapping = tuple(_bits(member))
-        if len(mapping) != count:
+        n = self.n
+        # Plain in-range ints skip _node, which checks every other id.
+        ids = [v if type(v) is int and 0 <= v < n else _node(v, n) for v in nodes]
+        member = 0
+        for v in ids:
+            member |= 1 << v
+        if member.bit_count() != len(ids):
             raise ValueError("subgraph nodes must be distinct")
+        ids.sort()
+        mapping = tuple(ids)
         local = {orig: i for i, orig in enumerate(mapping)}
         masks = self.neighbor_masks
         # Each edge once, from its smaller end: the member bits of masks[u]
-        # above u. The set-bit loop is inlined, as in _frontier_walk, to spare
-        # a generator per node. Ascending u and bits emit the edges valid,
-        # normalised and sorted, so they skip __init__'s checks for _fill.
+        # above u. The set-bit loop is inlined to spare a generator per node.
+        # Ascending u and bits emit the edges valid, normalised and sorted,
+        # so they skip __init__'s checks for _fill.
         sub_edges = []
         for i, u in enumerate(mapping):
             above = masks[u] & (member >> (u + 1) << (u + 1))
@@ -230,30 +226,10 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
     return best
 
 
-def _frontier_walk(g: Graph, source: int) -> Iterator[int]:
-    # Breadth-first layers from ``source`` as bitmasks: layer d holds the
-    # nodes at distance exactly d, for d = 1 up to the source's eccentricity.
-    # The set-bit loop is inlined rather than using _bits: this is the
-    # bounds sweep's inner loop, and the generator costs it about a fifth.
-    masks = g.neighbor_masks
-    seen = frontier = 1 << source
-    while True:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        if not frontier:
-            return
-        seen |= frontier
-        yield frontier
-
-
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS partition into connected components, each sorted, ordered by smallest node id."""
-    # _frontier_walk's loop, inlined: only the closure is needed, so no
-    # generator yields the layers.
+    # A breadth-first closure per component, grown from its smallest
+    # unassigned node; the set-bit loops are inlined, as in Graph.subgraph.
     masks = g.neighbor_masks
     components: list[tuple[int, ...]] = []
     unassigned = (1 << g.n) - 1
@@ -268,5 +244,10 @@ def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
             frontier = reach & ~member
             member |= frontier
         unassigned ^= member
-        components.append(tuple(_bits(member)))
+        nodes = []
+        while member:
+            low = member & -member
+            nodes.append(low.bit_length() - 1)
+            member ^= low
+        components.append(tuple(nodes))
     return tuple(components)

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from bandrec.graph import Graph, layout_bandwidth
 
@@ -21,6 +22,49 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+@st.composite
+def graphs(draw, max_n: int = 8):
+    """Any labelled graph on 1..max_n nodes, disconnected ones included."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = list(combinations(range(n), 2))
+    if pairs:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    else:
+        edges = []
+    return Graph(n, edges)
+
+
+@st.composite
+def constructive_negatives(draw, min_n: int, max_n: int):
+    """A ``(g, k)`` negative by proof, at any n: ``k = n-w-1`` for ``w`` 2 or 3.
+
+    In a layout of bandwidth at most ``k`` the nodes at positions 0 and n-1
+    are non-adjacent, and each is non-adjacent to at least ``w`` others. Here
+    only two nodes ``x`` and ``y`` miss ``w`` nodes, and they are adjacent, so
+    no such layout exists. Each of them misses its own disjoint set of ``w``
+    nodes, every other node misses fewer than ``w`` (random non-edges drawn
+    among the rest), and the nodes are relabelled at random. The draws come
+    from a numpy generator seeded by hypothesis.
+    """
+    w = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(max(min_n, 2 * w + 2), max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Before relabelling: x = 0, y = 1, x misses 2..w+1, y misses w+2..2w+1.
+    missing = [(0, a) for a in range(2, w + 2)] + [(1, b) for b in range(w + 2, 2 * w + 2)]
+    misses = [0, 0] + [1] * (2 * w) + [0] * (n - 2 * w - 2)
+    others = list(combinations(range(2, n), 2))
+    for i in rng.permutation(len(others)):
+        u, v = others[i]
+        if misses[u] < w - 1 and misses[v] < w - 1 and rng.random() < 0.5:
+            missing.append((u, v))
+            misses[u] += 1
+            misses[v] += 1
+    missing = set(missing)
+    order = [int(v) for v in rng.permutation(n)]
+    edges = [(order[u], order[v]) for u, v in combinations(range(n), 2) if (u, v) not in missing]
+    return Graph(n, edges), n - w - 1
 
 
 def distances_by_scan(g: Graph) -> list[list[float]]:

@@ -1,6 +1,7 @@
 import tracemalloc
 
 import pytest
+from hypothesis import given
 
 from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.bounds import BandwidthBounds, alpha_bound, bandwidth_bounds, gamma_bound
@@ -10,8 +11,8 @@ from bandrec.families import (
     lollipop_graph,
     path_graph,
 )
-from bandrec.graph import Graph
-from conftest import all_graphs, distances_by_scan, random_graph
+from bandrec.graph import Graph, connected_components
+from conftest import all_graphs, distances_by_scan, graphs, random_graph
 
 
 def bounds_by_definition(g):
@@ -95,6 +96,21 @@ class TestLowerBoundProperty:
             assert b.alpha <= beta
             assert b.gamma <= beta
             assert (b.alpha, b.gamma) == bounds_by_definition(g)
+
+
+class TestBreadthFirstWalk:
+    @given(graphs())
+    def test_matches_definition_and_components(self, g):
+        # The definition counts hop distances from a Floyd-Warshall matrix,
+        # so it shares nothing with the breadth-first walk under test.
+        b = bandwidth_bounds(g)
+        assert (b.alpha, b.gamma) == bounds_by_definition(g)
+        # The walk never leaves a component: the whole graph's alpha is the
+        # largest of its components' and its gamma the smallest, which lets
+        # recognize bound each component on its own copy.
+        parts = [bandwidth_bounds(g.subgraph(c)[0]) for c in connected_components(g)]
+        assert b.alpha == max(p.alpha for p in parts)
+        assert b.gamma == min(p.gamma for p in parts)
 
 
 @pytest.mark.parametrize("op", [alpha_bound, gamma_bound, bandwidth_bounds])

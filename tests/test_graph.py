@@ -9,30 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
-from bandrec.graph import Graph, Layout, _frontier_walk, connected_components, layout_bandwidth
+from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import recognize
-from conftest import assert_certified, distances_by_scan
-
-
-def cumulative_sizes(g, v):
-    # Entry d-1 counts the nodes at distance 1 to d from v, as the bounds
-    # sweep adds them up from the frontier walk.
-    sizes, total = [], 0
-    for layer in _frontier_walk(g, v):
-        total += layer.bit_count()
-        sizes.append(total)
-    return sizes
-
-
-@st.composite
-def graphs(draw, max_n: int = 8):
-    n = draw(st.integers(min_value=1, max_value=max_n))
-    pairs = list(combinations(range(n), 2))
-    if pairs:
-        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    else:
-        edges = []
-    return Graph(n, edges)
+from conftest import assert_certified, graphs
 
 
 class TestGraphConstruction:
@@ -113,6 +92,8 @@ class TestGraphConstruction:
             ([0, 1.0], TypeError),
             ([True, 2], TypeError),
             ([], ValueError),
+            ([2, 0, 2], ValueError),
+            ([np.int64(1), 1], ValueError),
         ],
     )
     def test_subgraph_rejects_bad_node_ids(self, nodes, error):
@@ -356,35 +337,3 @@ class TestConnectedComponents:
         assert all(list(comp) == sorted(comp) for comp in components)
         mins = [comp[0] for comp in components]
         assert mins == sorted(mins)
-
-
-class TestBfsLayers:
-    def test_path(self):
-        assert cumulative_sizes(path_graph(5), 0) == [1, 2, 3, 4]
-
-    def test_complete(self):
-        assert cumulative_sizes(complete_graph(5), 0) == [4]
-
-    def test_isolated(self):
-        assert cumulative_sizes(empty_graph(3), 1) == []
-
-    @given(graphs())
-    def test_strictly_increasing_up_to_component(self, g):
-        size_of = {v: len(comp) for comp in connected_components(g) for v in comp}
-        for v in range(g.n):
-            layers = cumulative_sizes(g, v)
-            assert all(a < b for a, b in zip(layers, layers[1:]))
-            component_size = size_of[v]
-            if component_size == 1:
-                assert layers == []
-            else:
-                assert layers[-1] == component_size - 1
-
-    @given(graphs())
-    def test_matches_distance_matrix(self, g):
-        dist = distances_by_scan(g)
-        for v in range(g.n):
-            finite = [d for d in dist[v] if 0 < d < float("inf")]
-            ecc = max(finite, default=0)
-            expected = [sum(1 for d in finite if d <= r) for r in range(1, ecc + 1)]
-            assert cumulative_sizes(g, v) == expected

@@ -39,7 +39,7 @@ from bandrec.recognition import (
     enumerate_left_partial_layouts,
     recognize,
 )
-from conftest import all_graphs, assert_certified, random_graph, regime_ks
+from conftest import all_graphs, assert_certified, constructive_negatives, random_graph, regime_ks
 
 
 @st.composite
@@ -666,3 +666,37 @@ class TestMetamorphic:
         else:
             expected = True
         assert answer(disjoint_union(pieces, order), k) == expected
+
+
+class TestConstructiveNegatives:
+    """Negatives by proof (see ``constructive_negatives``), so every engine
+    is checked against a label that no engine produced, above brute force's
+    ``n = 9`` too. Widths stay at 2 and 3: ``w = 4`` at ``n = 16`` already
+    costs ``recognize`` milliseconds per call."""
+
+    @staticmethod
+    def assert_proof_holds(g, k):
+        # The proof's premise on the drawn graph: exactly two nodes miss at
+        # least w = n-k-1 others, and they are adjacent.
+        wide = [v for v in range(g.n) if g.n - 1 - g.degree(v) >= g.n - k - 1]
+        assert len(wide) == 2 and g.adjacent(*wide)
+
+    @given(constructive_negatives(min_n=10, max_n=24))
+    @settings(max_examples=60, deadline=None)
+    def test_every_engine_says_no_above_bruteforce(self, case):
+        g, k = case
+        self.assert_proof_holds(g, k)
+        # Node x reaches all but w nodes in one hop and the rest in two, so
+        # gamma <= n-w-1 = k, and alpha <= ceil((n-1)/2) <= k: the bounds
+        # cannot cut, and the search decides.
+        assert recognize(g, k) == recognition.RecognitionResult(False, None, SEARCH_EXHAUSTED)
+        assert not bandwidth_at_most(g, k)
+
+    @given(constructive_negatives(min_n=6, max_n=9))
+    @settings(max_examples=40, deadline=None)
+    def test_bruteforce_confirms_the_family(self, case):
+        g, k = case
+        self.assert_proof_holds(g, k)
+        assert exact_bandwidth_bruteforce(g) > k
+        assert recognize(g, k) == recognition.RecognitionResult(False, None, SEARCH_EXHAUSTED)
+        assert not bandwidth_at_most(g, k)
