@@ -87,6 +87,25 @@ def distances_by_scan(g: Graph) -> list[list[float]]:
     return d
 
 
+def bounds_by_definition(g: Graph) -> tuple[int, int]:
+    """Both growth ratios evaluated per node from ``distances_by_scan``, as
+    ``(alpha, gamma)``, sharing nothing with the breadth-first walk of
+    ``bandwidth_bounds``."""
+    dist = distances_by_scan(g)
+    alpha, gamma = 0, None
+    for v in range(g.n):
+        finite = [dist[v][w] for w in range(g.n) if w != v and dist[v][w] != float("inf")]
+        ecc = max(finite, default=0)
+        a = c = 0
+        for k in range(1, int(ecc) + 1):
+            size = sum(1 for x in finite if x <= k)
+            a = max(a, -(-size // (2 * k)))
+            c = max(c, -(-size // k))
+        alpha = max(alpha, a)
+        gamma = c if gamma is None else min(gamma, c)
+    return alpha, gamma
+
+
 def regime_ks(n: int) -> range:
     """Every k the recognizer searches at size n: floor((n-1)/2) .. n-2."""
     return range((n - 1) // 2, max((n - 1) // 2, n - 1))

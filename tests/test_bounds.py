@@ -1,7 +1,6 @@
 import tracemalloc
 
 import pytest
-from hypothesis import given
 
 from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.bounds import BandwidthBounds, alpha_bound, bandwidth_bounds, gamma_bound
@@ -11,25 +10,8 @@ from bandrec.families import (
     lollipop_graph,
     path_graph,
 )
-from bandrec.graph import Graph, connected_components
-from conftest import all_graphs, distances_by_scan, graphs, random_graph
-
-
-def bounds_by_definition(g):
-    # Direct per-node evaluation of both growth ratios from the distance matrix.
-    dist = distances_by_scan(g)
-    alpha, gamma = 0, None
-    for v in range(g.n):
-        finite = [dist[v][w] for w in range(g.n) if w != v and dist[v][w] != float("inf")]
-        ecc = max(finite, default=0)
-        a = c = 0
-        for k in range(1, int(ecc) + 1):
-            size = sum(1 for x in finite if x <= k)
-            a = max(a, -(-size // (2 * k)))
-            c = max(c, -(-size // k))
-        alpha = max(alpha, a)
-        gamma = c if gamma is None else min(gamma, c)
-    return alpha, gamma
+from bandrec.graph import Graph
+from conftest import all_graphs, bounds_by_definition, random_graph
 
 
 class TestClosedFormFamilies:
@@ -96,21 +78,6 @@ class TestLowerBoundProperty:
             assert b.alpha <= beta
             assert b.gamma <= beta
             assert (b.alpha, b.gamma) == bounds_by_definition(g)
-
-
-class TestBreadthFirstWalk:
-    @given(graphs())
-    def test_matches_definition_and_components(self, g):
-        # The definition counts hop distances from a Floyd-Warshall matrix,
-        # so it shares nothing with the breadth-first walk under test.
-        b = bandwidth_bounds(g)
-        assert (b.alpha, b.gamma) == bounds_by_definition(g)
-        # The walk never leaves a component: the whole graph's alpha is the
-        # largest of its components' and its gamma the smallest, which lets
-        # recognize bound each component on its own copy.
-        parts = [bandwidth_bounds(g.subgraph(c)[0]) for c in connected_components(g)]
-        assert b.alpha == max(p.alpha for p in parts)
-        assert b.gamma == min(p.gamma for p in parts)
 
 
 @pytest.mark.parametrize("op", [alpha_bound, gamma_bound, bandwidth_bounds])

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bandrec.bounds import BandwidthBounds, bandwidth_bounds
 from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
 from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import recognize
-from conftest import assert_certified, graphs
+from conftest import assert_certified, bounds_by_definition, graphs
 
 
 class TestGraphConstruction:
@@ -337,3 +338,49 @@ class TestConnectedComponents:
         assert all(list(comp) == sorted(comp) for comp in components)
         mins = [comp[0] for comp in components]
         assert mins == sorted(mins)
+
+
+class TestBfsLayers:
+    # The breadth-first layers from each node are walked inline by
+    # bandwidth_bounds over the neighbour masks, so they are read here
+    # through the bounds: c_v = max_d ceil(|N_d(v)| / d) over the running
+    # layer sums |N_d(v)|, alpha = ceil(max_v c_v / 2) and gamma = min_v c_v.
+    def test_path(self):
+        # From an end each depth adds one node (sums 1, 2, ..., n-1), from an
+        # inner node at most two, so c_v is 1 at the ends and at most 2.
+        for n in range(2, 10):
+            assert bandwidth_bounds(path_graph(n)) == BandwidthBounds(1, 1)
+        # The path 3-0-4-1-2, whose layers do not follow the node ids.
+        assert bandwidth_bounds(Graph(5, [(3, 0), (0, 4), (4, 1), (1, 2)])) == BandwidthBounds(1, 1)
+
+    def test_complete(self):
+        # One layer of n-1 nodes from every node.
+        for n in range(2, 8):
+            assert bandwidth_bounds(complete_graph(n)) == BandwidthBounds(-(-(n - 1) // 2), n - 1)
+
+    def test_isolated(self):
+        # The walk from an isolated node has no layer, so its c_v is 0.
+        assert bandwidth_bounds(empty_graph(3)) == BandwidthBounds(0, 0)
+        # Node 1 sits between the ids of the edge's ends and the walk from
+        # it still reaches nothing; 0 and 2 each reach one layer of one node.
+        assert bandwidth_bounds(Graph(3, [(0, 2)])) == BandwidthBounds(1, 0)
+
+    @given(graphs())
+    def test_strictly_increasing_up_to_component(self, g):
+        # Each walk stays in its component, so the whole graph's alpha is
+        # the largest of its component copies' and its gamma the smallest,
+        # which lets recognize bound each component on its own copy.
+        components = connected_components(g)
+        b = bandwidth_bounds(g)
+        parts = [bandwidth_bounds(g.subgraph(c)[0]) for c in components]
+        assert b.alpha == max(p.alpha for p in parts)
+        assert b.gamma == min(p.gamma for p in parts)
+        # A walk has no layer only from a single-node component; any other
+        # walk's first layer holds a neighbour, which makes c_v at least 1.
+        assert (b.gamma == 0) == any(len(c) == 1 for c in components)
+
+    @given(graphs())
+    def test_matches_distance_matrix(self, g):
+        # The definition counts hop distances from a Floyd-Warshall matrix,
+        # so it shares nothing with the breadth-first walk under test.
+        assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
