@@ -50,7 +50,9 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     the running sum of the popcounts of the breadth-first layers from ``v``.
     Since ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling
     is monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
-    ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``.
+    ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``. ``g`` may be a
+    :class:`Graph` or ``recognize``'s component view: only ``g.n`` and
+    ``g.neighbor_masks`` are read.
     """
     masks = g.neighbor_masks
     high = 0

@@ -100,7 +100,8 @@ def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[tuple[int, ...]
     ``n! / (k+1)!`` tuples, so at ``k = n-1`` it is the one empty left; only
     O(n) state is held at a time. On the first ``next``, a ``k`` below the
     regime floor raises :class:`OutOfRegimeError` and one above ``n-1``
-    raises ``ValueError``.
+    raises ``ValueError``. ``g`` may be a :class:`Graph` or ``recognize``'s
+    component view: only ``g.n`` is read.
     """
     n = g.n
     require_regime(n, k)
@@ -114,7 +115,9 @@ def build_blocked_index(g: Graph, left: Sequence[int]) -> tuple[int, ...]:
 
     ``unplaced`` holds the nodes off ``left``, and ``A_j`` those of them
     adjacent to none of ``left[0..j]``. The pools are nested, so a node
-    leaves the chain at most once.
+    leaves the chain at most once. ``g`` may be a :class:`Graph` or
+    ``recognize``'s component view: only ``g.n`` and ``g.neighbor_masks``
+    are read.
     """
     masks = g.neighbor_masks
     pool = (1 << g.n) - 1
@@ -172,7 +175,8 @@ def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k:
     Left nodes take positions ``0..n-k-2`` and right nodes ``k+1..n-1``; the
     remaining ``2k-n+2`` nodes fill the middle positions ``n-k-1..k`` in
     ascending id order. Overlapping left/right images indicate a bug in the
-    caller and raise ``RuntimeError``.
+    caller and raise ``RuntimeError``. ``g`` may be a :class:`Graph` or
+    ``recognize``'s component view: only ``g.n`` is read.
     """
     used = set(left)
     used.update(right)
@@ -191,7 +195,8 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
     # completion (*head, c) of a live head, c ascending off the head, gets
     # its own chain and Hall check, so lefts are decided in the stream's order.
     # Every left is still decided, but a negative pays per head, n!/(k+2)!
-    # of them; the paper's O(n^(n-k+1)) stays an upper bound.
+    # of them; the paper's O(n^(n-k+1)) stays an upper bound. g is a Graph
+    # or recognize's component view: only n and neighbor_masks are read.
     n = g.n
     width = n - k - 1
     for head in enumerate_left_partial_layouts(g, k + 1):
@@ -208,21 +213,50 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
     return None
 
 
+class _ComponentView:
+    # One connected component of a graph, over local ids: node i is the
+    # component's i-th smallest id. It holds only what the bounds and the
+    # search read of a Graph, n and neighbor_masks, and is built by one
+    # set-bit pass per member with no id checks, sort, edge list or _fill:
+    # connected_components' ids are distinct, sorted and in range, and a
+    # member's neighbours are all members.
+    __slots__ = ("n", "neighbor_masks")
+
+    def __init__(self, masks: Sequence[int], component: Sequence[int]) -> None:
+        local = {v: i for i, v in enumerate(component)}
+        view = []
+        for u in component:
+            mask = masks[u]
+            bits = 0
+            while mask:
+                low = mask & -mask
+                bits |= 1 << local[low.bit_length() - 1]
+                mask ^= low
+            view.append(bits)
+        self.n = len(component)
+        self.neighbor_masks = tuple(view)
+
+
 def recognize(g: Graph, k: int) -> RecognitionResult:
     """Decide whether ``g`` has bandwidth at most ``k``; certify when it does.
 
     ``k`` goes through :func:`coerce_k`. The verdict is exact, and it does
     not depend on the node ids. A component with ``k >= n_C - 1`` is
     trivially laid out, its nodes in ascending id (so ``k >= n-1`` on a
-    connected graph gives the identity). Every other component gets its
+    connected graph gives the identity). Every other component is bounded
+    and searched on ``g`` itself when ``g`` is connected, and otherwise on a
+    view of its neighbour masks over local ids, node ``i`` being its
+    ``i``-th smallest id, with no :meth:`Graph.subgraph` copy: the local ids
+    are the copy's, so the certificate is too. Each such component gets its
     lower bounds once, before any search: if one exceeds ``k`` the answer is
     a negative ``bounds_cutoff``, whichever component it is. Then every
     component with ``k >= floor((n_C - 1) / 2)`` is solved, in order of its
     smallest node id; a negative once every left of one of them is decided
     reports ``search_exhausted``, whichever component it is. Only when all
     of them say yes does a component below that floor raise
-    :class:`OutOfRegimeError`. Otherwise the components' certificate layouts
-    are concatenated, and the whole certificate is re-checked.
+    :class:`OutOfRegimeError`. Otherwise the components' certificate layouts,
+    mapped back to ids, are concatenated, and the whole certificate is
+    re-checked.
     """
     n = g.n
     k = coerce_k(k)
@@ -231,7 +265,7 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     # the smallest component gamma, and a component with k >= n_C - 1 has
     # both at most k; so a whole-graph bound above k is always a bound above
     # k of one of the components bounded here.
-    parts: list[tuple[Graph | None, Sequence[int]]] = []
+    parts: list[tuple[Graph | _ComponentView | None, Sequence[int]]] = []
     outside: list[int] = []
     for component in connected_components(g):
         size = len(component)
@@ -239,13 +273,13 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
             # Any ordering works; ascending ids keep the result deterministic.
             parts.append((None, component))
             continue
-        sub, mapping = (g, component) if size == n else g.subgraph(component)
+        sub = g if size == n else _ComponentView(g.neighbor_masks, component)
         if k < bandwidth_bounds(sub).combined:
             return RecognitionResult(False, None, BOUNDS_CUTOFF)
         if k < regime_floor(size):
             outside.append(size)
         else:
-            parts.append((sub, mapping))
+            parts.append((sub, component))
 
     inverse: list[int] = []
     for sub, mapping in parts:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import bandrec
 from bandrec import recognition
 from bandrec.baselines import bandwidth_at_most, exact_bandwidth_bruteforce
+from bandrec.bounds import bandwidth_bounds
 from bandrec.families import (
     complete_graph,
     cycle_graph,
@@ -81,6 +82,26 @@ def disjoint_union(pieces, order):
         edges.extend((order[u + offset], order[v + offset]) for u, v in piece.edges)
         offset += piece.n
     return Graph(offset, edges)
+
+
+@st.composite
+def connected_pieces(draw, max_n: int):
+    """A connected graph on 1 to ``max_n`` nodes: a random tree plus random extra edges."""
+    n = draw(st.integers(1, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = list(combinations(range(n), 2))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    return Graph(n, tree + extra)
+
+
+@st.composite
+def shuffled_unions(draw, min_pieces: int, max_pieces: int, max_n: int):
+    """A union of connected pieces, one component each, in a random id order."""
+    pieces = draw(st.lists(connected_pieces(max_n), min_size=min_pieces, max_size=max_pieces))
+    order = draw(st.permutations(range(sum(piece.n for piece in pieces))))
+    g = disjoint_union(pieces, order)
+    assert len(connected_components(g)) == len(pieces)
+    return g
 
 
 class TestEnumeration:
@@ -356,6 +377,22 @@ class TestAssembleCertificate:
             assemble_certificate((0, 1), [1, 5], empty_graph(6), 3)
 
 
+class TestComponentView:
+    @given(shuffled_unions(1, 5, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_subgraph_copy(self, g):
+        # The masks recognize bounds and searches a component on are the
+        # copy's, so every bound, verdict and certificate is the copy's too.
+        for component in connected_components(g):
+            if len(component) == 1:
+                continue
+            view = recognition._ComponentView(g.neighbor_masks, component)
+            sub, mapping = g.subgraph(component)
+            assert mapping == component
+            assert (view.n, view.neighbor_masks) == (sub.n, sub.neighbor_masks)
+            assert bandwidth_bounds(view) == bandwidth_bounds(sub)
+
+
 class TestRecognize:
     def test_complete_graph_cut_by_bounds(self):
         result = recognize(complete_graph(4), 2)
@@ -440,6 +477,16 @@ class TestRecognize:
         g = cycle_graph(5)
         assert_certified(g, 2, recognize(g, 2))
 
+    def test_disconnected_graph_is_not_copied(self, monkeypatch):
+        # Two C_5 with interleaved ids and an isolated node: both cycles are
+        # bounded and searched on a view of g's masks, never on a copy.
+        def no_copy(self, nodes):
+            raise AssertionError("subgraph of a component")
+
+        monkeypatch.setattr(Graph, "subgraph", no_copy)
+        g = disjoint_union([cycle_graph(5), cycle_graph(5), Graph(1)], [0, 2, 4, 6, 8, 1, 3, 5, 7, 9, 10])
+        assert_certified(g, 2, recognize(g, 2))
+
     def test_connected_graph_bounded_once(self, monkeypatch):
         bounded = []
         real = recognition.bandwidth_bounds
@@ -482,6 +529,30 @@ class TestRecognize:
                 assert result.verdict == (expected is not None), f"n={n} k={k} edges={g.edges}"
                 if expected is not None:
                     assert result.certificate.inverse == expected, f"n={n} k={k} edges={g.edges}"
+
+    @given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(st.just(k), shuffled_unions(2, 4, 2 * k + 2))))
+    @settings(max_examples=80, deadline=None)
+    def test_disconnected_certificates_match_the_reference_sweep(self, case):
+        # Byte for byte on unions whose pieces are all in the regime: each
+        # component's reference certificate on its subgraph copy, mapped
+        # through the copy's ids, in order of smallest id; a trivial
+        # component in ascending id.
+        k, g = case
+        expected = []
+        for component in connected_components(g):
+            if k >= len(component) - 1:
+                expected.extend(component)
+                continue
+            sub, mapping = g.subgraph(component)
+            local = certificate_by_reference(sub, k)
+            if local is None:
+                expected = None
+                break
+            expected.extend(mapping[v] for v in local)
+        result = recognize(g, k)
+        assert result.verdict == (expected is not None), f"k={k} edges={g.edges}"
+        if expected is not None:
+            assert result.certificate.inverse == tuple(expected), f"k={k} edges={g.edges}"
 
     def test_affirmative_builds_one_layout(self, monkeypatch):
         built = []
@@ -623,10 +694,10 @@ def answer(g, k):
 
 
 @st.composite
-def piece_unions(draw):
-    """Up to five answer pieces at k = 2 or 3, and a random id order."""
+def piece_unions(draw, kinds: tuple[str, ...] = tuple(sorted(PIECE_ANSWERS))):
+    """Up to five answer pieces of the given kinds at k = 2 or 3, and a random id order."""
     k = draw(st.sampled_from([2, 3]))
-    kinds = draw(st.lists(st.sampled_from(sorted(PIECE_ANSWERS)), min_size=1, max_size=5))
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=5))
     pieces = [answer_piece(kind, k, draw(st.integers(0, 2))) for kind in kinds]
     order = draw(st.permutations(range(sum(piece.n for piece in pieces))))
     return k, kinds, pieces, order
@@ -666,6 +737,26 @@ class TestMetamorphic:
         else:
             expected = True
         assert answer(disjoint_union(pieces, order), k) == expected
+
+    @given(piece_unions(kinds=("yes",)))
+    @settings(max_examples=60, deadline=None)
+    def test_yes_stays_yes_at_k_plus_1(self, case):
+        # Each yes piece has 2k+1 nodes, so it is searched at k+1 too.
+        k, _, pieces, order = case
+        g = disjoint_union(pieces, order)
+        assert answer(g, k) is True
+        assert answer(g, k + 1) is True
+
+    @given(piece_unions(kinds=("yes",)), st.integers(min_value=0))
+    @settings(max_examples=60, deadline=None)
+    def test_deleting_an_edge_keeps_yes(self, case, pick):
+        # A layout keeps its bandwidth on a subgraph, and every component
+        # keeps at most 2k+1 nodes, so it stays in the regime.
+        k, _, pieces, order = case
+        g = disjoint_union(pieces, order)
+        assert answer(g, k) is True
+        gone = g.edges[pick % g.m]
+        assert answer(Graph(g.n, [edge for edge in g.edges if edge != gone]), k) is True
 
 
 class TestConstructiveNegatives:
