@@ -48,6 +48,8 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     Per node ``v`` the sweep takes ``c_v = max_d ceil(|N_d(v)| / d)``, where
     ``N_d(v)`` holds the nodes at distance 1 to ``d`` from ``v``: its size is
     the running sum of the popcounts of the breadth-first layers from ``v``.
+    The first layer is ``v``'s neighbour mask as it stands, so ``c_v`` starts
+    at ``deg(v)``, the ``d = 1`` term, and the walk expands from there.
     Since ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling
     is monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
     ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``. ``g`` may be a
@@ -58,11 +60,14 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     high = 0
     low = g.n  # above every c_v, which is at most n-1
     for v in range(g.n):
-        # Layer d is the frontier: the nodes at distance exactly d. The walk
-        # and its set-bit loop are inlined, with no generator, as this is the
-        # inner loop of every bounds call.
-        c = size = d = 0
-        seen = frontier = 1 << v
+        # Layer d is the frontier: the nodes at distance exactly d. Layer 1
+        # is masks[v], whose term is deg(v) itself, so the walk starts there.
+        # It and its set-bit loop are inlined, with no generator, as this is
+        # the inner loop of every bounds call.
+        frontier = masks[v]
+        seen = frontier | 1 << v
+        c = size = frontier.bit_count()
+        d = 1
         while True:
             reach = 0
             while frontier:

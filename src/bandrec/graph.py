@@ -229,25 +229,26 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS partition into connected components, each sorted, ordered by smallest node id."""
     # A breadth-first closure per component, grown from its smallest
-    # unassigned node; the set-bit loops are inlined, as in Graph.subgraph.
+    # unassigned node; the set-bit loop is inlined, as in Graph.subgraph.
+    # Each node is in exactly one frontier, so it is listed as that frontier
+    # is expanded, and each component's list is sorted once.
     masks = g.neighbor_masks
     components: list[tuple[int, ...]] = []
     unassigned = (1 << g.n) - 1
     while unassigned:
         member = frontier = unassigned & -unassigned
+        nodes = []
         while frontier:
             reach = 0
             while frontier:
                 low = frontier & -frontier
-                reach |= masks[low.bit_length() - 1]
+                v = low.bit_length() - 1
+                nodes.append(v)
+                reach |= masks[v]
                 frontier ^= low
             frontier = reach & ~member
             member |= frontier
         unassigned ^= member
-        nodes = []
-        while member:
-            low = member & -member
-            nodes.append(low.bit_length() - 1)
-            member ^= low
+        nodes.sort()
         components.append(tuple(nodes))
     return tuple(components)

@@ -1,8 +1,9 @@
 """Edge-list file format: one header line ``n m``, then m lines ``u v``.
 
 Endpoints are 0-based with ``u < v``, fields separated by single spaces,
-LF line endings. Canonical output sorts the edge lines ascending, so
-writing a parsed canonical file reproduces it byte for byte.
+LF line endings. Every field is ASCII decimal, with no sign and no leading
+zero. Canonical output sorts the edge lines ascending, so writing a parsed
+canonical file reproduces it byte for byte.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from .graph import Graph
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-# ASCII decimal only: int() would also take "+1", "1_0", non-ASCII digits and
-# surrounding whitespace such as a CR. The sign stays so "-1" gets its range message.
-_INTEGER = re.compile(r"-?[0-9]+")
+# ASCII decimal with no leading zero: int() would also take "+1", "-0", "02",
+# "1_0", non-ASCII digits and surrounding whitespace such as a CR. A minus
+# sign stays before a nonzero value, so "-1" gets its range message.
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
 
 
 class GraphParseError(ValueError):

@@ -216,23 +216,27 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
 class _ComponentView:
     # One connected component of a graph, over local ids: node i is the
     # component's i-th smallest id. It holds only what the bounds and the
-    # search read of a Graph, n and neighbor_masks, and is built by one
-    # set-bit pass per member with no id checks, sort, edge list or _fill:
-    # connected_components' ids are distinct, sorted and in range, and a
-    # member's neighbours are all members.
+    # search read of a Graph, n and neighbor_masks. rank is a list indexed
+    # by the graph's ids, shared by every view of one recognize call: each
+    # view writes its members' local ids into it, then sets both bits of
+    # each edge from its smaller end u, the bits of masks[u] above u. There
+    # are no id checks, sort, edge list or _fill: connected_components' ids
+    # are distinct, sorted and in range, and a member's neighbours are all
+    # members, so every rank read was written by this view.
     __slots__ = ("n", "neighbor_masks")
 
-    def __init__(self, masks: Sequence[int], component: Sequence[int]) -> None:
-        local = {v: i for i, v in enumerate(component)}
-        view = []
-        for u in component:
-            mask = masks[u]
-            bits = 0
-            while mask:
-                low = mask & -mask
-                bits |= 1 << local[low.bit_length() - 1]
-                mask ^= low
-            view.append(bits)
+    def __init__(self, masks: Sequence[int], component: Sequence[int], rank: list[int]) -> None:
+        for i, v in enumerate(component):
+            rank[v] = i
+        view = [0] * len(component)
+        for i, u in enumerate(component):
+            above = masks[u] >> u + 1
+            while above:
+                low = above & -above
+                j = rank[low.bit_length() + u]
+                view[i] |= 1 << j
+                view[j] |= 1 << i
+                above ^= low
         self.n = len(component)
         self.neighbor_masks = tuple(view)
 
@@ -247,16 +251,18 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     and searched on ``g`` itself when ``g`` is connected, and otherwise on a
     view of its neighbour masks over local ids, node ``i`` being its
     ``i``-th smallest id, with no :meth:`Graph.subgraph` copy: the local ids
-    are the copy's, so the certificate is too. Each such component gets its
-    lower bounds once, before any search: if one exceeds ``k`` the answer is
-    a negative ``bounds_cutoff``, whichever component it is. Then every
-    component with ``k >= floor((n_C - 1) / 2)`` is solved, in order of its
-    smallest node id; a negative once every left of one of them is decided
-    reports ``search_exhausted``, whichever component it is. Only when all
-    of them say yes does a component below that floor raise
-    :class:`OutOfRegimeError`. Otherwise the components' certificate layouts,
-    mapped back to ids, are concatenated, and the whole certificate is
-    re-checked.
+    are the copy's, so the certificate is too. The views of one call read
+    their local ids from one rank list, allocated per call and refilled per
+    component, and take each edge once, from its smaller end. Each such
+    component gets its lower bounds once, before any search: if one exceeds
+    ``k`` the answer is a negative ``bounds_cutoff``, whichever component it
+    is. Then every component with ``k >= floor((n_C - 1) / 2)`` is solved,
+    in order of its smallest node id; a negative once every left of one of
+    them is decided reports ``search_exhausted``, whichever component it
+    is. Only when all of them say yes does a component below that floor
+    raise :class:`OutOfRegimeError`. Otherwise the components' certificate
+    layouts, mapped back to ids, are concatenated, and the whole certificate
+    is re-checked.
     """
     n = g.n
     k = coerce_k(k)
@@ -267,13 +273,14 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     # k of one of the components bounded here.
     parts: list[tuple[Graph | _ComponentView | None, Sequence[int]]] = []
     outside: list[int] = []
+    rank = [0] * n
     for component in connected_components(g):
         size = len(component)
         if k >= size - 1:
             # Any ordering works; ascending ids keep the result deterministic.
             parts.append((None, component))
             continue
-        sub = g if size == n else _ComponentView(g.neighbor_masks, component)
+        sub = g if size == n else _ComponentView(g.neighbor_masks, component, rank)
         if k < bandwidth_bounds(sub).combined:
             return RecognitionResult(False, None, BOUNDS_CUTOFF)
         if k < regime_floor(size):

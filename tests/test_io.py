@@ -64,6 +64,11 @@ def test_edgeless():
         ("12 1\n0 1_0\n", 2, "two integers"),
         ("3 1\n\uff10 1\n", 2, "two integers"),
         ("3 1\n0 1\r\n", 2, "two integers"),
+        ("3 1\n-0 2\n", 2, "two integers"),
+        ("3 1\n0 02\n", 2, "two integers"),
+        ("3 1\n00 2\n", 2, "two integers"),
+        ("03 0\n", 1, "integer header"),
+        ("3 -0\n", 1, "integer header"),
     ],
 )
 def test_parse_errors_name_the_line(text, line_no, fragment):

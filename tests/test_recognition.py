@@ -40,7 +40,14 @@ from bandrec.recognition import (
     enumerate_left_partial_layouts,
     recognize,
 )
-from conftest import all_graphs, assert_certified, constructive_negatives, random_graph, regime_ks
+from conftest import (
+    all_graphs,
+    assert_certified,
+    bounds_by_definition,
+    constructive_negatives,
+    random_graph,
+    regime_ks,
+)
 
 
 @st.composite
@@ -382,15 +389,21 @@ class TestComponentView:
     @settings(max_examples=150, deadline=None)
     def test_matches_the_subgraph_copy(self, g):
         # The masks recognize bounds and searches a component on are the
-        # copy's, so every bound, verdict and certificate is the copy's too.
+        # copy's, so every bound, verdict and certificate is the copy's too;
+        # the bounds also match their definition, walked by a shortest-path
+        # scan that shares nothing with bandwidth_bounds. One rank list
+        # serves every view of the graph, as in recognize.
+        rank = [0] * g.n
         for component in connected_components(g):
             if len(component) == 1:
                 continue
-            view = recognition._ComponentView(g.neighbor_masks, component)
+            view = recognition._ComponentView(g.neighbor_masks, component, rank)
             sub, mapping = g.subgraph(component)
             assert mapping == component
             assert (view.n, view.neighbor_masks) == (sub.n, sub.neighbor_masks)
-            assert bandwidth_bounds(view) == bandwidth_bounds(sub)
+            bounds = bandwidth_bounds(view)
+            assert bounds == bandwidth_bounds(sub)
+            assert (bounds.alpha, bounds.gamma) == bounds_by_definition(sub)
 
 
 class TestRecognize:
