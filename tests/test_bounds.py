@@ -6,10 +6,12 @@ from bandrec.baselines import exact_bandwidth_bruteforce
 from bandrec.bounds import BandwidthBounds, alpha_bound, bandwidth_bounds, gamma_bound
 from bandrec.families import (
     complete_bipartite_graph,
+    complete_graph,
     empty_graph,
     lollipop_graph,
     path_graph,
 )
+from bandrec.generate import generate_affirmative_case
 from bandrec.graph import Graph
 from conftest import all_graphs, bounds_by_definition, random_graph
 
@@ -78,6 +80,56 @@ class TestLowerBoundProperty:
             assert b.alpha <= beta
             assert b.gamma <= beta
             assert (b.alpha, b.gamma) == bounds_by_definition(g)
+
+
+class _CountingMasks(tuple):
+    """A neighbour-mask tuple that counts its indexed reads."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+class _CountedGraph:
+    """Exposes only what ``bandwidth_bounds`` reads, with counted masks."""
+
+    def __init__(self, g: Graph):
+        self.n = g.n
+        self.neighbor_masks = _CountingMasks(g.neighbor_masks)
+
+
+class TestWalkStops:
+    def test_walk_ends_once_every_node_is_seen(self):
+        # Each node's first layer already holds the rest of K8, so each walk
+        # reads only its own mask; a walk that expanded that layer would
+        # also read its 7 neighbours' masks (64 reads).
+        g = _CountedGraph(complete_graph(8))
+        assert bandwidth_bounds(g) == BandwidthBounds(4, 7)
+        assert g.neighbor_masks.reads == 8
+
+    def test_disconnected_walk_runs_to_an_empty_frontier(self):
+        # Two triangles and an isolated node: seen never holds all 7 nodes,
+        # so each triangle node also expands its 2-node first layer
+        # (7 + 6 * 2 reads).
+        g = _CountedGraph(Graph(7, [(0, 1), (0, 2), (1, 2), (4, 5), (5, 6), (4, 6)]))
+        assert bandwidth_bounds(g) == BandwidthBounds(1, 0)
+        assert g.neighbor_masks.reads == 19
+
+    def test_affirmative_cases_match_the_definition(self, rng):
+        # The perfbench affirm regime (k = n-2 or n-3), where the walks end
+        # on a full seen, and unions of two draws, where none does.
+        draws = []
+        for _ in range(12):
+            n = int(rng.integers(10, 25))
+            k = n - int(rng.integers(2, 4))
+            draws.append(generate_affirmative_case(n, k, int(rng.integers(0, 2**31)))[0])
+        for g in draws:
+            assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
+        for a, b in zip(draws, draws[1:]):
+            union = Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+            assert bandwidth_bounds(union) == BandwidthBounds(*bounds_by_definition(union))
 
 
 @pytest.mark.parametrize("op", [alpha_bound, gamma_bound, bandwidth_bounds])
