@@ -109,7 +109,7 @@ class Graph:
         if sorted(mapping) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection onto 0..n-1")
         # A bijection maps distinct valid edges to distinct valid edges, so
-        # normalising and one sort make them ready for _fill, as in subgraph.
+        # normalising and one sort make them ready for _fill.
         edges = []
         for u, v in self.edges:
             u, v = mapping[u], mapping[v]
@@ -125,30 +125,13 @@ class Graph:
         of this graph, checked as :class:`Graph` checks edge endpoints, and
         non-empty: a graph has at least one node.
         """
-        n = self.n
-        # Plain in-range ints skip _node, which checks every other id.
-        ids = [v if type(v) is int and 0 <= v < n else _node(v, n) for v in nodes]
-        member = 0
-        for v in ids:
-            member |= 1 << v
-        if member.bit_count() != len(ids):
+        ids = [_node(v, self.n) for v in nodes]
+        if len(set(ids)) != len(ids):
             raise ValueError("subgraph nodes must be distinct")
-        ids.sort()
-        mapping = tuple(ids)
+        mapping = tuple(sorted(ids))
         local = {orig: i for i, orig in enumerate(mapping)}
-        masks = self.neighbor_masks
-        # Each edge once, from its smaller end: the member bits of masks[u]
-        # above u. The set-bit loop is inlined to spare a generator per node.
-        # Ascending u and bits emit the edges valid, normalised and sorted,
-        # so they skip __init__'s checks for _fill.
-        sub_edges = []
-        for i, u in enumerate(mapping):
-            above = masks[u] & (member >> (u + 1) << (u + 1))
-            while above:
-                low = above & -above
-                sub_edges.append((i, local[low.bit_length() - 1]))
-                above ^= low
-        return _fill(object.__new__(Graph), len(mapping), sub_edges), mapping
+        kept = [(local[u], local[v]) for u, v in self.edges if u in local and v in local]
+        return Graph(len(mapping), kept), mapping
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -229,7 +212,7 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
 def connected_components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """BFS partition into connected components, each sorted, ordered by smallest node id."""
     # A breadth-first closure per component, grown from its smallest
-    # unassigned node; the set-bit loop is inlined, as in Graph.subgraph.
+    # unassigned node, with the set-bit loop inlined.
     # Each node is in exactly one frontier, so it is listed as that frontier
     # is expanded, and each component's list is sorted once.
     masks = g.neighbor_masks

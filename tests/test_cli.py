@@ -2,6 +2,7 @@ import csv
 import subprocess
 import sys
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
@@ -192,6 +193,99 @@ class TestBenchCommand:
         assert main(["bench", "--seed", "1", "--output", str(tmp_path), "--quiet"]) == 2
         assert str(tmp_path) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+def _graph_file(tmp_path, spec):
+    """A graph file from ``spec``: ``(kind, n, k)`` generated at seed 1, or
+    the file's text."""
+    path = tmp_path / "g.graph"
+    if isinstance(spec, str):
+        path.write_text(spec)
+    else:
+        kind, n, k = spec
+        argv = ["gen", "--kind", kind, "--n", str(n), "--k", str(k), "--seed", "1", "--output", str(path)]
+        assert main(argv) == 0
+    return str(path)
+
+
+# A C6 on the even ids and a K3,3 on {1,3,5} x {7,9,11}, n=12. Both bounds
+# pass at k=3, where the K3,3 exhausts its search; at k=4 both components are
+# searched through the component view and the answer is yes.
+C6_K33 = "12 15\n0 2\n0 10\n1 7\n1 9\n1 11\n2 4\n3 7\n3 9\n3 11\n4 6\n5 7\n5 9\n5 11\n6 8\n8 10\n"
+K6 = "6 15\n" + "".join(f"{u} {v}\n" for u, v in combinations(range(6), 2))
+
+
+class TestEndToEnd:
+    """Files on disk through ``main``: generated instances, the brute-force
+    oracle, exhausted searches, certificates, bounds and the bench harness."""
+
+    def test_negative_bandwidth_above_k(self, tmp_path, capsys):
+        path = _graph_file(tmp_path, ("negative", 9, 4))
+        capsys.readouterr()
+        assert main(["bandwidth", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("bandwidth=")
+        assert int(out.removeprefix("bandwidth=")) > 4
+
+    @pytest.mark.parametrize(
+        "spec,k",
+        [(("negative", 9, 4), 4), (C6_K33, 3)],
+        ids=["negative-9-4", "c6-k33-k3"],
+    )
+    def test_search_exhausted(self, tmp_path, capsys, spec, k):
+        path = _graph_file(tmp_path, spec)
+        capsys.readouterr()
+        assert main(["recognize", path, "--k", str(k)]) == 1
+        assert "reason=search_exhausted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec,k",
+        [(("affirmative", 12, 8), 8), ("4 1\n0 2\n", 3), (C6_K33, 4)],
+        ids=["affirmative-12-8", "one-edge-k3", "c6-k33-k4"],
+    )
+    def test_certificate_within_k(self, tmp_path, capsys, spec, k):
+        path = _graph_file(tmp_path, spec)
+        capsys.readouterr()
+        assert main(["recognize", path, "--k", str(k)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "verdict=true"
+        assert out[1].startswith("certificate_bandwidth=")
+        assert int(out[1].removeprefix("certificate_bandwidth=")) <= k
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            # Every walk ends on its first layer.
+            (K6, "alpha=3\ngamma=5\ncombined=5\n"),
+            # Two triangles and an isolated node: no walk reaches every node.
+            ("7 6\n0 1\n0 2\n1 2\n4 5\n5 6\n4 6\n", "alpha=1\ngamma=0\ncombined=1\n"),
+        ],
+        ids=["k6", "two-triangles-isolated"],
+    )
+    def test_bounds(self, tmp_path, capsys, text, expected):
+        assert main(["bounds", _graph_file(tmp_path, text)]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_bench_verdicts_match_case_kinds(self, tmp_path):
+        # One instance per cell at n=10: three affirmative, two negative.
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--sizes", "10", "--cases", "1", "--reps", "3", "--seed", "1", "--output", str(out), "--quiet"]
+        assert main(argv) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 5
+        for row in rows:
+            assert row["status"] == "solved"
+            assert row["verdict"] == ("true" if row["case_kind"] == "affirmative" else "false")
+
+
+def test_package_main_runs(k4_file):
+    proc = subprocess.run(
+        [sys.executable, "-m", "bandrec", "recognize", k4_file, "--k", "2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
 
 
 def test_console_entry_point_runs():

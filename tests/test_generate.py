@@ -20,7 +20,7 @@ from bandrec.generate import (
     generate_negative_case,
     random_banded_matrix,
 )
-from bandrec.graph import Layout, layout_bandwidth
+from bandrec.graph import Graph, Layout, layout_bandwidth
 from bandrec.io import write_graph_text
 from bandrec.recognition import SEARCH_EXHAUSTED, OutOfRegimeError, recognize
 from conftest import assert_certified
@@ -189,6 +189,20 @@ class TestNegativeCases:
     def test_out_of_regime_rejected(self):
         with pytest.raises(ValueError):
             generate_negative_case(12, 3, seed=0)
+
+
+def test_set_up_makes_no_subgraph_copy(monkeypatch):
+    # The instance set-up perfbench runs: a relabelled affirmative, negatives
+    # labelled by the deadline oracle, and brute force on those negatives.
+    # Graph.subgraph costs O(m) per call, so none of them may make one.
+    def no_copy(self, nodes):
+        raise AssertionError("Graph.subgraph on a set-up path")
+
+    monkeypatch.setattr(Graph, "subgraph", no_copy)
+    generate_affirmative_case(16, 14, 0)
+    for n in (9, 8):
+        g, _ = generate_negative_case(n, 4, 0)
+        exact_bandwidth_bruteforce(g)
 
 
 class _Drew(Exception):
