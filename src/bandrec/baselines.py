@@ -141,8 +141,7 @@ def bandwidth_at_most(g: Graph, k: int) -> bool:
     positional search of Saxe (1980) and of MB-ID (Del Corso & Manzini,
     *Computing* 1999). ``k`` goes through
     :func:`~bandrec.recognition.coerce_k`, and there is no regime floor.
-    The search is exponential in the worst case, and it recurses once per
-    position of a component.
+    The search is exponential in the worst case.
     """
     k = coerce_k(k)
     adj: list[list[int]] = [[] for _ in range(g.n)]
@@ -167,23 +166,35 @@ def bandwidth_at_most(g: Graph, k: int) -> bool:
 def _lay_out(adj: list[list[int]], unplaced: set[int], k: int) -> bool:
     # The deadline search over one component's nodes, which it consumes:
     # True iff they fill positions 0..size-1 with every edge within k.
+    # stack[p] iterates the candidates for position p, sorted when the search
+    # reached p; placed[p] is the node at p and the deadlines it moved.
     deadline = dict.fromkeys(unplaced, len(unplaced) - 1)
-
-    def fill(p: int) -> bool:
-        if not unplaced:
-            return True
-        for v in sorted(unplaced):
+    stack = [iter(sorted(unplaced))]
+    placed: list[tuple[int, list[tuple[int, int]]]] = []
+    while stack:
+        p = len(stack) - 1
+        if len(placed) > p:  # every completion of placed[p] failed: undo it
+            v, moved = placed.pop()
+            for u, d in moved:
+                deadline[u] = d
+            unplaced.add(v)
+        for v in stack[p]:
             unplaced.remove(v)
             moved = [(u, deadline[u]) for u in adj[v] if u in unplaced and deadline[u] > p + k]
             for u, _ in moved:
                 deadline[u] = p + k
             # The i-th earliest deadline left must reach position p+1+i.
             ordered = sorted(deadline[u] for u in unplaced)
-            if all(d > p + i for i, d in enumerate(ordered)) and fill(p + 1):
-                return True
+            if all(d > p + i for i, d in enumerate(ordered)):
+                placed.append((v, moved))
+                break
             for u, d in moved:
                 deadline[u] = d
             unplaced.add(v)
-        return False
-
-    return fill(0)
+        else:
+            stack.pop()
+            continue
+        if not unplaced:
+            return True
+        stack.append(iter(sorted(unplaced)))
+    return False

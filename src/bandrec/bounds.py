@@ -5,11 +5,12 @@ many nodes within distance d forces large label gaps no matter how it is
 placed. The sweep runs one bitmask BFS per node over the graph's neighbour
 masks, ORing each reachable node's mask once and adding up each layer's
 popcount, so it costs O(n^2) big-integer operations and O(n) auxiliary
-space. A node's walk stops as soon as it has reached every node of the
-graph, since every later layer would be empty: on a connected graph of
-diameter 2 no walk expands its second layer. For a disconnected graph the
-scan is confined to each node's own component, which keeps both quantities
-valid lower bounds on the overall bandwidth.
+space. A node's walk at depth d stops as soon as its ratio so far is at
+least ceil((n-1)/(d+1)): no neighbourhood holds more than n-1 nodes, so no
+deeper layer can raise it. On a connected graph this stops every walk no
+later than reaching the whole graph would, and often well before. For a
+disconnected graph the scan is confined to each node's own component, which
+keeps both quantities valid lower bounds on the overall bandwidth.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     the running sum of the popcounts of the breadth-first layers from ``v``.
     The first layer is ``v``'s neighbour mask as it stands, so ``c_v`` starts
     at ``deg(v)``, the ``d = 1`` term, and the walk expands from there.
-    It stops when the frontier is empty or ``seen`` holds all ``g.n`` nodes:
-    then every later frontier is empty, so ``|N_d(v)|`` stays at its final
-    size while ``d`` grows, and no later term can exceed ``c_v``. On a
-    connected graph the second test ends every walk and saves ORing the
-    masks of the whole last layer; on a disconnected one ``seen`` never
-    fills, and the first test ends it as before.
+    It stops at depth ``d`` once ``c >= ceil((g.n-1)/(d+1))``, or when the
+    frontier is empty. The rule is exact: every ``|N_d'(v)|`` is at most
+    ``g.n-1``, so no term with ``d' > d`` can exceed ``ceil((g.n-1)/(d+1))``.
+    On a connected graph it stops no later than reaching the whole graph
+    would: then ``size`` is ``g.n-1``, so ``c >= ceil((g.n-1)/d)``, which is
+    at least ``ceil((g.n-1)/(d+1))``.
     Since ``ceil(x / 2d) == ceil(ceil(x / d) / 2)`` and halving with ceiling
     is monotone, the halved ratio's maximum is ``ceil(c_v / 2)``; so alpha is
     ``ceil(max_v c_v / 2)`` and gamma is ``min_v c_v``. ``g`` may be a
@@ -65,7 +66,7 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
     ``g.neighbor_masks`` are read.
     """
     masks = g.neighbor_masks
-    full = (1 << g.n) - 1
+    most = g.n - 1  # the largest any |N_d(v)| can be
     high = 0
     low = g.n  # above every c_v, which is at most n-1
     for v in range(g.n):
@@ -77,7 +78,7 @@ def bandwidth_bounds(g: Graph) -> BandwidthBounds:
         seen = frontier | 1 << v
         c = size = frontier.bit_count()
         d = 1
-        while seen != full:
+        while c < -(-most // (d + 1)):
             reach = 0
             while frontier:
                 bit = frontier & -frontier

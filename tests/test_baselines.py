@@ -188,6 +188,15 @@ class TestBandwidthAtMost:
         assert not bandwidth_at_most(g, 4)
         assert bandwidth_at_most(g, 8)
 
+    def test_long_component_is_searched_without_recursion(self):
+        # A search that recursed once per position would pass Python's
+        # default recursion limit of 1,000 frames on these paths.
+        path = path_graph(1100)
+        assert bandwidth_at_most(path, 1) is True
+        triangle = [(1100, 1101), (1101, 1102), (1100, 1102)]
+        # The path is laid out in full before the triangle fails.
+        assert bandwidth_at_most(Graph(1103, list(path.edges) + triangle), 1) is False
+
     def test_k_coerced_like_the_engine(self):
         assert bandwidth_at_most(cycle_graph(5), np.int64(2))
         for k in (True, 2.5):

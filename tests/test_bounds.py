@@ -109,22 +109,45 @@ class TestWalkStops:
         assert bandwidth_bounds(g) == BandwidthBounds(4, 7)
         assert g.neighbor_masks.reads == 8
 
+    def test_walk_stops_before_reaching_the_whole_graph(self):
+        # In K_{4,4} each node's degree 4 already reaches ceil((8-1)/2), so
+        # no walk expands its first layer, although seen holds only 5 of the
+        # 8 nodes; a walk that ran on to the whole graph would also read its
+        # 4 neighbours' masks (40 reads).
+        g = _CountedGraph(complete_bipartite_graph(4, 4))
+        assert bandwidth_bounds(g) == BandwidthBounds(2, 4)
+        assert g.neighbor_masks.reads == 8
+
+    def test_walk_stops_on_a_disconnected_graph(self):
+        # K_{5,5} plus an isolated node: each of its nodes has degree
+        # ceil((11-1)/2) and reads only its own mask; the isolated node's
+        # walk reads none. A walk that ran on to an empty frontier would
+        # expand both layers of each K_{5,5} node (10 * (1 + 5 + 4) + 1 reads).
+        g = _CountedGraph(Graph(11, complete_bipartite_graph(5, 5).edges))
+        assert bandwidth_bounds(g) == BandwidthBounds(3, 0)
+        assert g.neighbor_masks.reads == 11
+
     def test_disconnected_walk_runs_to_an_empty_frontier(self):
-        # Two triangles and an isolated node: seen never holds all 7 nodes,
-        # so each triangle node also expands its 2-node first layer
-        # (7 + 6 * 2 reads).
+        # Two triangles and an isolated node: a triangle node's degree 2 is
+        # below ceil((7-1)/2), so each triangle node also expands its 2-node
+        # first layer and stops at the empty frontier (7 + 6 * 2 reads).
         g = _CountedGraph(Graph(7, [(0, 1), (0, 2), (1, 2), (4, 5), (5, 6), (4, 6)]))
         assert bandwidth_bounds(g) == BandwidthBounds(1, 0)
         assert g.neighbor_masks.reads == 19
 
     def test_affirmative_cases_match_the_definition(self, rng):
-        # The perfbench affirm regime (k = n-2 or n-3), where the walks end
-        # on a full seen, and unions of two draws, where none does.
+        # The perfbench affirm regime (k = n-2 or n-3) and dense random
+        # graphs with n above 9, where the walks stop at the ceil rule, and
+        # unions of two consecutive draws, where many run on to an empty
+        # frontier instead.
         draws = []
         for _ in range(12):
             n = int(rng.integers(10, 25))
             k = n - int(rng.integers(2, 4))
             draws.append(generate_affirmative_case(n, k, int(rng.integers(0, 2**31)))[0])
+        for _ in range(12):
+            n = int(rng.integers(10, 25))
+            draws.append(random_graph(rng, n, float(rng.uniform(0.5, 0.95))))
         for g in draws:
             assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
         for a, b in zip(draws, draws[1:]):
