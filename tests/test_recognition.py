@@ -406,6 +406,36 @@ class TestComponentView:
             assert (bounds.alpha, bounds.gamma) == bounds_by_definition(sub)
 
 
+class TestCertificateCheck:
+    def test_matches_the_edge_walk(self, monkeypatch):
+        # The check that recognize puts every yes certificate through must
+        # say "bandwidth at most k" exactly when the edge walk does, on both
+        # of its branches: w mask tests while 3*w <= m, else the edge walk,
+        # which the patched module global records.
+        walked = []
+        real = recognition.layout_bandwidth
+        monkeypatch.setattr(recognition, "layout_bandwidth", lambda g, layout: walked.append(g) or real(g, layout))
+        branches = set()
+
+        @given(st.data())
+        @settings(max_examples=300, deadline=None)
+        def check(data):
+            n = data.draw(st.integers(1, 14))
+            pairs = list(combinations(range(n), 2))
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+            g = Graph(n, edges)
+            layout = Layout(data.draw(st.permutations(range(n))))
+            for k in range(n + 1):
+                walked.clear()
+                assert recognition._within(g, layout, k) == (layout_bandwidth(g, layout) <= k)
+                edge_branch = 3 * (n - k - 1) > g.m
+                assert walked == ([g] if edge_branch else [])
+                branches.add(edge_branch)
+
+        check()
+        assert branches == {False, True}
+
+
 class TestRecognize:
     def test_complete_graph_cut_by_bounds(self):
         result = recognize(complete_graph(4), 2)
@@ -442,8 +472,8 @@ class TestRecognize:
         # Each component is trivial at k = 3, laid out in ascending id, and
         # the concatenation goes through the same re-check as every yes.
         checked = []
-        real = recognition.layout_bandwidth
-        monkeypatch.setattr(recognition, "layout_bandwidth", lambda g, layout: checked.append(g) or real(g, layout))
+        real = recognition._within
+        monkeypatch.setattr(recognition, "_within", lambda g, layout, k: checked.append(g) or real(g, layout, k))
         g = Graph(4, [(0, 2)])
         result = recognize(g, 3)
         assert result.verdict
@@ -651,6 +681,8 @@ class TestRecognize:
     def test_bad_certificate_raises_under_optimize(self):
         # A search that returns the identity for a relabelled path (stretch 5)
         # at k=4: the final certificate check must fire even with asserts off.
+        # Alone the path has w=1 and m=5, so the mask tests catch it; with
+        # six isolated nodes w=7 and m=5, so the edge walk must.
         script = textwrap.dedent(
             """
             import sys
@@ -658,13 +690,15 @@ class TestRecognize:
                 sys.exit("asserts are on; expected python -O")
             from bandrec import recognition
             from bandrec.families import path_graph
+            from bandrec.graph import Graph
 
             recognition._solve_component = lambda sub, k: list(range(sub.n))
-            g = path_graph(6).relabeled([0, 5, 1, 4, 2, 3])
-            try:
-                recognition.recognize(g, 4)
-            except RuntimeError as exc:
-                print("RuntimeError:", exc)
+            path = path_graph(6).relabeled([0, 5, 1, 4, 2, 3])
+            for g in (path, Graph(12, path.edges)):
+                try:
+                    recognition.recognize(g, 4)
+                except RuntimeError as exc:
+                    print("RuntimeError:", exc)
             """
         )
         src = str(Path(bandrec.__file__).resolve().parents[1])
@@ -673,7 +707,8 @@ class TestRecognize:
             [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("RuntimeError: certificate"), proc.stdout
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and all(line.startswith("RuntimeError: certificate") for line in lines), proc.stdout
 
 
 # Pieces whose answer at k alone is known, one of each kind of answer:
