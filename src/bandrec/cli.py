@@ -109,6 +109,11 @@ def _cmd_gen(args) -> int:
     if seed < 0:
         # Refused here so the message names the option, not numpy's seed check.
         raise ValueError(f"--seed must be a nonnegative integer, got {seed}")
+    # An option the kind does not read is refused, not silently dropped.
+    unread = ("--k",) if args.kind == "banded" else ("--psi", "--p")
+    unused = [option for option in unread if getattr(args, option[2:]) is not None]
+    if unused:
+        raise ValueError(f"{args.kind} generation does not read {', '.join(unused)}")
     if args.kind == "banded":
         if args.psi is None or args.p is None:
             raise ValueError("banded generation needs --psi and --p")

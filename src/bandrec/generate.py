@@ -28,8 +28,8 @@ import numpy as np
 
 from .baselines import bandwidth_at_most
 from .bounds import bandwidth_bounds
-from .graph import Graph, Layout, layout_bandwidth
-from .recognition import regime_floor, require_regime
+from .graph import Graph, Layout, _integer, layout_bandwidth
+from .recognition import coerce_k, regime_floor, require_regime
 
 AFFIRMATIVE = "affirmative"
 NEGATIVE = "negative"
@@ -94,11 +94,18 @@ def random_banded_matrix(params: GenParams) -> Graph:
     return Graph(n, edges)
 
 
-def check_case(kind: str, n: int, k: int) -> None:
-    """Raise ``ValueError`` unless ``k`` is in the range of ``kind`` cases on
-    ``n`` nodes: from the regime floor (below it, :class:`OutOfRegimeError`),
-    and at least 1 for affirmative cases, to ``n-2`` for affirmative and
-    ``n-4`` for negative cases."""
+def check_case(kind: str, n: int, k: int) -> tuple[int, int]:
+    """``(n, k)`` as plain ints, once both are checked for a ``kind`` case.
+
+    ``n`` and ``k`` are integers by :func:`~bandrec.recognition.coerce_k`'s
+    rule: ``bool`` or a non-integer raises ``TypeError``, and a negative
+    ``k`` raises ``ValueError``. ``ValueError`` is raised too unless ``k``
+    is in the range of ``kind`` cases on ``n`` nodes: from the regime floor
+    (below it, :class:`OutOfRegimeError`), and at least 1 for affirmative
+    cases, to ``n-2`` for affirmative and ``n-4`` for negative cases.
+    """
+    n = _integer(n, "the node count")
+    k = coerce_k(k)
     require_regime(n, k)
     floor = max(_FLOORS[kind], regime_floor(n))
     ceiling = n - _CEILING_GAPS[kind]
@@ -106,6 +113,7 @@ def check_case(kind: str, n: int, k: int) -> None:
         raise ValueError(f"no k admits {kind} cases on n={n} nodes, got k={k}")
     if not floor <= k <= ceiling:
         raise ValueError(f"{kind} cases need k in [{floor}, {ceiling}] for n={n}, got k={k}")
+    return n, k
 
 
 def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, Any]]:
@@ -120,7 +128,7 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     :func:`check_case` before any draw. Raises :class:`GenerationError` when
     the scramble budget runs out (callers reseed).
     """
-    check_case(AFFIRMATIVE, n, k)
+    n, k = check_case(AFFIRMATIVE, n, k)
     rng = np.random.default_rng(seed)
     # psi = 0 would draw an edgeless graph, which no scramble lifts above
     # k >= 1; it is raised after the draw, so the random stream is unchanged.
@@ -166,7 +174,7 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     draws), 5 of 10 did at ``n = 48``, and seeds 0-2 all failed at
     ``n = 64``. So ``n = 44`` is the sampler's practical ceiling there.
     """
-    check_case(NEGATIVE, n, k)
+    n, k = check_case(NEGATIVE, n, k)
     rng = np.random.default_rng(seed)
     for attempt in range(1, NEGATIVE_SAMPLE_BUDGET + 1):
         psi = int(rng.integers(k + 1, k + 4))

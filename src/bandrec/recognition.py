@@ -93,21 +93,22 @@ class RecognitionResult:
 
 
 def enumerate_left_partial_layouts(g: Graph, k: int) -> Iterator[tuple[int, ...]]:
-    """Yield every left partial layout of ``g`` w.r.t. bandwidth ``k`` once.
+    """Every left partial layout of ``g`` w.r.t. bandwidth ``k``, once each.
 
     A left partial layout is the tuple of ``n-k-1`` distinct nodes for the
     positions ``0..n-k-2``. The stream is lexicographic and contains exactly
     ``n! / (k+1)!`` tuples, so at ``k = n-1`` it is the one empty left; only
-    O(n) state is held at a time. On the first ``next``, a ``k`` below the
-    regime floor raises :class:`OutOfRegimeError` and one above ``n-1``
-    raises ``ValueError``. ``g`` may be a :class:`Graph` or ``recognize``'s
-    component view: only ``g.n`` is read.
+    O(n) state is held at a time. ``k`` goes through :func:`coerce_k`, and
+    the call itself raises :class:`OutOfRegimeError` for a ``k`` below the
+    regime floor and ``ValueError`` for one above ``n-1``. ``g`` may be a
+    :class:`Graph` or ``recognize``'s component view: only ``g.n`` is read.
     """
     n = g.n
+    k = coerce_k(k)
     require_regime(n, k)
     if k > n - 1:
         raise ValueError(f"k={k} is above n-1={n - 1}, so there are no left partial layouts")
-    yield from permutations(range(n), n - k - 1)
+    return permutations(range(n), n - k - 1)
 
 
 def build_blocked_index(g: Graph, left: Sequence[int]) -> tuple[int, ...]:
@@ -186,17 +187,10 @@ def assemble_certificate(left: Sequence[int], right: Sequence[int], g: Graph, k:
 
 
 def _solve_component(g: Graph, k: int) -> list[int] | None:
-    # The paper's sweep over one connected component: the certificate as a
-    # position -> node list, or None = infeasible. It walks heads, a head
-    # being all of a left but its last node: exactly the lefts of k+1, so
-    # the one empty head when there is one left position. A completion's
-    # A_j is its head's B_j less at most its last node, so a head pool below
-    # its need rules out every completion and none of them is drawn. Each
-    # completion (*head, c) of a live head, c ascending off the head, gets
-    # its own chain and Hall check, so lefts are decided in the stream's order.
-    # Every left is still decided, but a negative pays per head, n!/(k+2)!
-    # of them; the paper's O(n^(n-k+1)) stays an upper bound. g is a Graph
-    # or recognize's component view: only n and neighbor_masks are read.
+    # The paper's sweep over one connected component, by the module
+    # docstring's head walk: the certificate as a position -> node list, or
+    # None = infeasible. g is a Graph or recognize's component view: only n
+    # and neighbor_masks are read.
     n = g.n
     width = n - k - 1
     for head in enumerate_left_partial_layouts(g, k + 1):

@@ -106,6 +106,18 @@ class TestOtherCommands:
         assert "no k admits affirmative cases on n=2" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize(
+        "options,unused",
+        [
+            (["--kind", "banded", "--n", "10", "--psi", "3", "--p", "0.4", "--k", "8"], "--k"),
+            (["--kind", "affirmative", "--n", "12", "--k", "10", "--psi", "3", "--p", "0.9"], "--psi, --p"),
+        ],
+    )
+    def test_gen_refuses_options_its_kind_does_not_read(self, tmp_path, capsys, options, unused):
+        assert main(["gen", *options, "--output", str(tmp_path / "x")]) == 2
+        assert f"does not read {unused}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_gen_missing_params(self, tmp_path):
         assert main(["gen", "--kind", "banded", "--n", "5", "--output", str(tmp_path / "x")]) == 2
         assert main(["gen", "--kind", "negative", "--n", "12", "--output", str(tmp_path / "x")]) == 2

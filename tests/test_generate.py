@@ -2,6 +2,7 @@ import hashlib
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bandrec import baselines, generate, recognition
@@ -242,11 +243,31 @@ class TestCaseRanges:
                 with pytest.raises(_Drew):
                     GENERATORS[kind](n, k, 0)
             else:
-                error = OutOfRegimeError if k < (n - 1) // 2 else ValueError
-                with pytest.raises(error):
+                # A negative k fails coerce_k's check first, as in recognize.
+                if k < 0:
+                    error, match = ValueError, "k must be nonnegative"
+                else:
+                    error, match = OutOfRegimeError if k < (n - 1) // 2 else ValueError, None
+                with pytest.raises(error, match=match):
                     check_case(kind, n, k)
-                with pytest.raises(error):
+                with pytest.raises(error, match=match):
                     GENERATORS[kind](n, k, 0)
+
+    @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
+    @pytest.mark.parametrize("n,k", [(12.0, 8), (12, 8.0), (True, 0), (3, True)])
+    def test_float_and_bool_raise_type_error_before_any_draw(self, monkeypatch, kind, n, k):
+        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        with pytest.raises(TypeError):
+            check_case(kind, n, k)
+        with pytest.raises(TypeError):
+            GENERATORS[kind](n, k, 0)
+
+    @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
+    def test_numpy_ints_are_read_as_plain_ints(self, kind):
+        n, k = check_case(kind, np.int64(9), np.int64(4))
+        assert (n, k) == (9, 4) and type(n) is int and type(k) is int
+        _, meta = GENERATORS[kind](np.int64(9), np.int64(4), 0)
+        assert type(meta["n"]) is int and type(meta["k"]) is int
 
     def test_bench_config_rejects_the_same_cells(self):
         for kind, n, k, lo, hi in _cells():

@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 from math import factorial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,8 +151,22 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("k", [-1, 1, 6])
     def test_out_of_range_k_rejected(self, k):
+        # The call itself raises, before any next.
         with pytest.raises(ValueError):
-            next(iter(enumerate_left_partial_layouts(empty_graph(6), k)))
+            enumerate_left_partial_layouts(empty_graph(6), k)
+
+    def test_numpy_k_is_read_as_an_int(self):
+        g = empty_graph(6)
+        assert list(enumerate_left_partial_layouts(g, np.int64(3))) == list(enumerate_left_partial_layouts(g, 3))
+
+    @pytest.mark.parametrize("k", [True, 3.0])
+    def test_bool_and_float_k_raise_type_error(self, k):
+        with pytest.raises(TypeError):
+            enumerate_left_partial_layouts(empty_graph(6), k)
+
+    def test_negative_k_is_named(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            enumerate_left_partial_layouts(empty_graph(6), -1)
 
 
 class TestBlockedIndex:
