@@ -33,7 +33,7 @@ import numpy as np
 
 from .baselines import naive_recognition
 from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
-from .graph import Graph
+from .graph import Graph, _integer
 from .recognition import recognize
 
 _KIND_CODES = {AFFIRMATIVE: 0, NEGATIVE: 1}
@@ -88,7 +88,15 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Checked at construction, so an unusable config cannot exist.
+        # Checked at construction, so an unusable config cannot exist. The
+        # counts and the seed are taken by the package's integer rule and
+        # stored as plain ints.
+        for name in ("cases_per_pair", "repetitions", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, _integer(value, name))
+            except TypeError as exc:
+                raise BenchConfigError(f"{name} must be an integer, got {value!r}") from exc
         if not self.sizes or any(n < 2 for n in self.sizes):
             raise BenchConfigError("sizes must be nonempty with every n >= 2")
         if self.cases_per_pair < 1:
@@ -107,7 +115,7 @@ class BenchConfig:
         for kind, n, k in self.cells():
             try:
                 check_case(kind, n, k)
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise BenchConfigError(f"{kind} cell (n={n}, k={k}): {exc}") from exc
 
     def cells(self) -> Iterable[tuple[str, int, int]]:

@@ -60,6 +60,12 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
+        # n and psi are taken by the package's integer rule and stored as
+        # plain ints; p may be any real but a bool.
+        object.__setattr__(self, "n", _integer(self.n, "the node count"))
+        object.__setattr__(self, "psi", _integer(self.psi, "psi"))
+        if type(self.p) is bool:
+            raise TypeError(f"p must be a probability, not bool: {self.p!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0 <= self.psi <= self.n - 1:

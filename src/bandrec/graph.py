@@ -145,8 +145,9 @@ class Layout:
     at position ``p``. Entries are coerced like node ids (``operator.index``;
     ``bool`` raises ``TypeError``), so both maps hold plain ``int``s.
     Construction validates bijectivity, so every Layout in circulation
-    satisfies ``inverse[forward[v]] == v``. Equality and hashing read
-    ``forward`` only, since ``inverse`` follows from it.
+    satisfies ``inverse[forward[v]] == v``; the one unchecked constructor
+    is private, and its callers check both maps themselves. Equality and
+    hashing read ``forward`` only, since ``inverse`` follows from it.
     """
 
     forward: tuple[int, ...]
@@ -175,9 +176,16 @@ class Layout:
         # Read as a forward map, ``inverse`` is the inverse layout, which
         # __init__ validates; swapping its two maps gives the layout wanted.
         flipped = cls(inverse)
+        return cls._of(flipped.inverse, flipped.forward)
+
+    @classmethod
+    def _of(cls, forward: tuple[int, ...], inverse: tuple[int, ...]) -> "Layout":
+        # A layout from its two maps as they stand, with no coercion or
+        # check: the caller has made them mutually inverse tuples of plain
+        # ints, as from_inverse and recognize's certificate check do.
         layout = object.__new__(cls)
-        object.__setattr__(layout, "forward", flipped.inverse)
-        object.__setattr__(layout, "inverse", flipped.forward)
+        object.__setattr__(layout, "forward", forward)
+        object.__setattr__(layout, "inverse", inverse)
         return layout
 
     @property

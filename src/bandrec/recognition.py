@@ -207,25 +207,38 @@ def _solve_component(g: Graph, k: int) -> list[int] | None:
     return None
 
 
-def _within(g: Graph, layout: Layout, k: int) -> bool:
-    # Whether layout has bandwidth at most k on g, in n-k-1 mask tests: an
-    # edge stretched beyond k has its right end at some p >= k+1 and its
-    # left end at a position <= p-k-1, so it shows as a bit of far, the
-    # nodes at those positions, in the mask of the node at p. This reads
-    # neighbor_masks, not the edges; both are written by one function, so
-    # they agree. A mask step costs two to three edge steps, so when
-    # 3*w > m (a sparse graph, a wide w) the edge walk runs instead.
+def _certify(g: Graph, inverse: Sequence[int], k: int) -> Layout:
+    # recognize's certificate as a Layout, once the position -> node list
+    # inverse places each node of g once (that check fills forward) and has
+    # bandwidth at most k; RuntimeError otherwise, by raises that run under
+    # python -O. An edge stretched beyond k has its right end at some
+    # p >= k+1 and its left end at a position <= p-k-1, so it shows as a
+    # bit of far, the nodes at those positions, in the mask of the node at
+    # p: n-k-1 mask tests. The masks and the edges are written by one
+    # function, so they agree. A mask step costs two to three edge steps,
+    # so when 3*w > m (a sparse graph, a wide w) the edge walk runs instead.
     n = g.n
+    if len(inverse) != n:
+        raise RuntimeError(f"certificate is not a bijection: {len(inverse)} positions for n={n}")
+    forward = [-1] * n
+    for p, v in enumerate(inverse):
+        if not 0 <= v < n or forward[v] != -1:
+            raise RuntimeError(f"certificate is not a bijection: node {v} at position {p} for n={n}")
+        forward[v] = p
+    certificate = Layout._of(tuple(forward), tuple(inverse))
     if 3 * (n - k - 1) > g.m:
-        return layout_bandwidth(g, layout) <= k
-    masks = g.neighbor_masks
-    inverse = layout.inverse
-    far = 0
-    for p in range(k + 1, n):
-        far |= 1 << inverse[p - k - 1]
-        if masks[inverse[p]] & far:
-            return False
-    return True
+        if layout_bandwidth(g, certificate) <= k:
+            return certificate
+    else:
+        masks = g.neighbor_masks
+        far = 0
+        for p in range(k + 1, n):
+            far |= 1 << inverse[p - k - 1]
+            if masks[inverse[p]] & far:
+                break
+        else:
+            return certificate
+    raise RuntimeError(f"certificate has bandwidth above k={k}; this should be unreachable")
 
 
 class _ComponentView:
@@ -276,13 +289,15 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
     them is decided reports ``search_exhausted``, whichever component it
     is. Only when all of them say yes does a component below that floor
     raise :class:`OutOfRegimeError`. Otherwise the components' certificate
-    layouts, mapped back to ids, are concatenated, and the whole certificate
-    is re-checked. Only "bandwidth at most ``k``" is checked, in
-    ``w = n-k-1`` mask tests: for each position ``p`` from ``k+1`` to
-    ``n-1``, the node at ``p`` must be adjacent to none of the nodes at
-    positions ``0..p-k-1``. When ``3*w > m`` a walk over the ``m`` edges is
-    cheaper, and :func:`~bandrec.graph.layout_bandwidth` checks the same
-    layout instead. A failed check raises ``RuntimeError``.
+    layouts, mapped back to ids, are concatenated (a connected graph's is
+    taken as it stands), and the whole certificate is re-checked in one
+    pass that also builds the returned :class:`~bandrec.graph.Layout`. It
+    must place each node exactly once, and have bandwidth at most ``k``,
+    checked in ``w = n-k-1`` mask tests: for each position ``p`` from
+    ``k+1`` to ``n-1``, the node at ``p`` must be adjacent to none of the
+    nodes at positions ``0..p-k-1``. When ``3*w > m`` a walk over the ``m``
+    edges is cheaper, and :func:`~bandrec.graph.layout_bandwidth` checks
+    the same layout instead. A failed check raises ``RuntimeError``.
     """
     n = g.n
     k = coerce_k(k)
@@ -316,12 +331,11 @@ def recognize(g: Graph, k: int) -> RecognitionResult:
         order = _solve_component(sub, k)
         if order is None:
             return RecognitionResult(False, None, SEARCH_EXHAUSTED)
-        inverse.extend(mapping[v] for v in order)
+        if sub is g:
+            # The one component spans g, so its local ids are g's.
+            inverse = order
+        else:
+            inverse.extend(map(mapping.__getitem__, order))
     if outside:
         require_regime(outside[0], k)
-
-    certificate = Layout.from_inverse(inverse)
-    # An explicit check, not an assert, so the certificate is re-checked under -O too.
-    if not _within(g, certificate, k):
-        raise RuntimeError(f"certificate has bandwidth above k={k}; this should be unreachable")
-    return RecognitionResult(True, certificate)
+    return RecognitionResult(True, _certify(g, inverse, k))

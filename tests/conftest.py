@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from bandrec.graph import Graph, layout_bandwidth
+from bandrec.graph import Graph, Layout, layout_bandwidth
 
 
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
@@ -112,10 +112,22 @@ def regime_ks(n: int) -> range:
 
 
 def assert_certified(g: Graph, k: int, result) -> None:
-    """Positive verdicts must come with a layout of bandwidth at most k."""
+    """Positive verdicts must come with a layout of bandwidth at most k.
+
+    The layout's two maps must be mutually inverse tuples of plain ints, and
+    it must equal the layout the public constructor builds from its
+    positions, whichever way it was made.
+    """
     assert result.verdict
-    assert result.certificate is not None
-    assert layout_bandwidth(g, result.certificate) <= k
+    certificate = result.certificate
+    assert certificate is not None
+    forward, inverse = certificate.forward, certificate.inverse
+    assert type(forward) is tuple and type(inverse) is tuple
+    assert all(type(x) is int for x in forward + inverse)
+    assert len(forward) == len(inverse) == g.n
+    assert all(inverse[p] == v for v, p in enumerate(forward))
+    assert certificate == Layout.from_inverse(inverse)
+    assert layout_bandwidth(g, certificate) <= k
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import io
 import multiprocessing as mp
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from bandrec import bench
@@ -65,11 +66,21 @@ class TestConfigValidation:
             dict(sizes=(8,), affirmative_offsets=(-1,)),  # k = n-1: no scramble beats it
             dict(timeout_s=float("nan")),
             dict(timeout_s=float("inf")),
+            dict(repetitions=3.5),
+            dict(cases_per_pair=1.5),
+            dict(cases_per_pair=True),
+            dict(seed=0.5),
+            dict(sizes=(12.0,)),
         ],
     )
     def test_rejects(self, overrides):
         with pytest.raises(BenchConfigError):
             small_config(**overrides)
+
+    def test_numpy_counts_are_stored_as_plain_ints(self):
+        config = small_config(cases_per_pair=np.int64(2), repetitions=np.int64(3), seed=np.int64(7))
+        assert config == small_config()
+        assert all(type(x) is int for x in (config.cases_per_pair, config.repetitions, config.seed))
 
 
 class TestInstanceSeeds:

@@ -36,6 +36,18 @@ class TestGenParams:
         with pytest.raises(ValueError):
             GenParams(n, psi, p, seed=1)
 
+    @pytest.mark.parametrize(
+        "n,psi,p", [(10, 3.0, 0.4), (10.0, 3, 0.4), (10, True, 0.5), (True, 0, 0.5), (10, 3, True)]
+    )
+    def test_float_and_bool_raise_type_error(self, n, psi, p):
+        with pytest.raises(TypeError):
+            GenParams(n, psi, p, seed=1)
+
+    def test_numpy_ints_are_stored_as_plain_ints(self):
+        params = GenParams(np.int64(10), np.int64(3), 0.4, 0)
+        assert (params.n, params.psi) == (10, 3) and type(params.n) is int and type(params.psi) is int
+        assert random_banded_matrix(params) == random_banded_matrix(GenParams(10, 3, 0.4, 0))
+
 
 class TestRandomBandedMatrix:
     def test_zero_width_band_is_edgeless(self):

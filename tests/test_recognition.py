@@ -424,9 +424,10 @@ class TestComponentView:
 class TestCertificateCheck:
     def test_matches_the_edge_walk(self, monkeypatch):
         # The check that recognize puts every yes certificate through must
-        # say "bandwidth at most k" exactly when the edge walk does, on both
-        # of its branches: w mask tests while 3*w <= m, else the edge walk,
-        # which the patched module global records.
+        # return the layout exactly when the edge walk says "bandwidth at
+        # most k", and raise otherwise, on both of its branches: w mask
+        # tests while 3*w <= m, else the edge walk, which the patched module
+        # global records.
         walked = []
         real = recognition.layout_bandwidth
         monkeypatch.setattr(recognition, "layout_bandwidth", lambda g, layout: walked.append(g) or real(g, layout))
@@ -442,13 +443,25 @@ class TestCertificateCheck:
             layout = Layout(data.draw(st.permutations(range(n))))
             for k in range(n + 1):
                 walked.clear()
-                assert recognition._within(g, layout, k) == (layout_bandwidth(g, layout) <= k)
+                if layout_bandwidth(g, layout) <= k:
+                    assert recognition._certify(g, list(layout.inverse), k) == layout
+                else:
+                    with pytest.raises(RuntimeError, match="^certificate has bandwidth above"):
+                        recognition._certify(g, list(layout.inverse), k)
                 edge_branch = 3 * (n - k - 1) > g.m
                 assert walked == ([g] if edge_branch else [])
                 branches.add(edge_branch)
 
         check()
         assert branches == {False, True}
+
+    @pytest.mark.parametrize(
+        "inverse", [[0, 1, 1, 3], [0, 1, 4, 3], [0, -1, 2, 3], [0, 1, 2]], ids=["repeat", "n", "-1", "short"]
+    )
+    def test_a_non_bijection_raises(self, inverse):
+        # k = n-1 passes every bandwidth check, so only the bijection check can fire.
+        with pytest.raises(RuntimeError, match="^certificate is not a bijection"):
+            recognition._certify(path_graph(4), inverse, 3)
 
 
 class TestRecognize:
@@ -487,8 +500,8 @@ class TestRecognize:
         # Each component is trivial at k = 3, laid out in ascending id, and
         # the concatenation goes through the same re-check as every yes.
         checked = []
-        real = recognition._within
-        monkeypatch.setattr(recognition, "_within", lambda g, layout, k: checked.append(g) or real(g, layout, k))
+        real = recognition._certify
+        monkeypatch.setattr(recognition, "_certify", lambda g, inverse, k: checked.append(g) or real(g, inverse, k))
         g = Graph(4, [(0, 2)])
         result = recognize(g, 3)
         assert result.verdict
@@ -613,6 +626,9 @@ class TestRecognize:
             assert result.certificate.inverse == tuple(expected), f"k={k} edges={g.edges}"
 
     def test_affirmative_builds_one_layout(self, monkeypatch):
+        # The certificate check fills both maps itself, so the one layout of
+        # a yes is made without Layout.__init__, and it equals the layout
+        # the public constructor builds from the same positions.
         built = []
         init = Layout.__init__
 
@@ -623,7 +639,9 @@ class TestRecognize:
         monkeypatch.setattr(Layout, "__init__", counting_init)
         g = cycle_graph(5)
         result = recognize(g, 2)
-        assert built == [result.certificate.inverse]
+        assert built == []
+        monkeypatch.undo()
+        assert result.certificate == Layout.from_inverse(result.certificate.inverse)
         assert layout_bandwidth(g, result.certificate) <= 2
 
     def test_disconnected_certificate_concatenation(self):
@@ -697,7 +715,8 @@ class TestRecognize:
         # A search that returns the identity for a relabelled path (stretch 5)
         # at k=4: the final certificate check must fire even with asserts off.
         # Alone the path has w=1 and m=5, so the mask tests catch it; with
-        # six isolated nodes w=7 and m=5, so the edge walk must.
+        # six isolated nodes w=7 and m=5, so the edge walk must. A search
+        # that places node 0 everywhere must fail the bijection check.
         script = textwrap.dedent(
             """
             import sys
@@ -714,6 +733,11 @@ class TestRecognize:
                     recognition.recognize(g, 4)
                 except RuntimeError as exc:
                     print("RuntimeError:", exc)
+            recognition._solve_component = lambda sub, k: [0] * sub.n
+            try:
+                recognition.recognize(path, 4)
+            except RuntimeError as exc:
+                print("RuntimeError:", exc)
             """
         )
         src = str(Path(bandrec.__file__).resolve().parents[1])
@@ -723,7 +747,8 @@ class TestRecognize:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 2 and all(line.startswith("RuntimeError: certificate") for line in lines), proc.stdout
+        assert len(lines) == 3 and all(line.startswith("RuntimeError: certificate") for line in lines), proc.stdout
+        assert lines[2].startswith("RuntimeError: certificate is not a bijection"), proc.stdout
 
 
 # Pieces whose answer at k alone is known, one of each kind of answer:
