@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing as mp
+import numbers
 import statistics
 import time
 from dataclasses import dataclass, fields
@@ -32,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .baselines import naive_recognition
-from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
+from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, _check_seed, check_case
 from .graph import Graph, _integer
 from .recognition import recognize
 
@@ -89,27 +90,31 @@ class BenchConfig:
 
     def __post_init__(self) -> None:
         # Checked at construction, so an unusable config cannot exist. The
-        # counts and the seed are taken by the package's integer rule and
-        # stored as plain ints.
-        for name in ("cases_per_pair", "repetitions", "seed"):
+        # counts are taken by the package's integer rule and the seed by
+        # generate's seed rule, and all three are stored as plain ints.
+        for name in ("cases_per_pair", "repetitions"):
             value = getattr(self, name)
             try:
                 object.__setattr__(self, name, _integer(value, name))
             except TypeError as exc:
                 raise BenchConfigError(f"{name} must be an integer, got {value!r}") from exc
-        if not self.sizes or any(n < 2 for n in self.sizes):
-            raise BenchConfigError("sizes must be nonempty with every n >= 2")
+        try:
+            object.__setattr__(self, "seed", _check_seed(self.seed))
+        except (TypeError, ValueError) as exc:
+            raise BenchConfigError(str(exc)) from exc
+        if not self.sizes:
+            raise BenchConfigError("sizes must be nonempty")
         if self.cases_per_pair < 1:
             raise BenchConfigError("cases per pair must be at least 1")
-        if not 0 < self.timeout_s < math.inf:  # also false for nan
-            raise BenchConfigError(f"timeout must be a finite positive number of seconds, got {self.timeout_s}")
+        timeout = self.timeout_s
+        # A bool is not a number of seconds; the range test is also false for nan.
+        if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
+            raise BenchConfigError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
         if self.repetitions < 3:
             raise BenchConfigError("timing needs at least 3 repetitions")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if not self.algorithms or unknown:
             raise BenchConfigError(f"unknown algorithms: {sorted(unknown)}" if unknown else "no algorithms selected")
-        if self.seed < 0:
-            raise BenchConfigError(f"seed must be nonnegative, got {self.seed}")
         if not self.affirmative_offsets and not self.negative_offsets:
             raise BenchConfigError("no k offsets for either case kind")
         for kind, n, k in self.cells():

@@ -17,6 +17,11 @@ generator of each (``GENERATORS``) are defined here for the whole package.
 All draws come from numpy's seeded default generator (PCG64), so a given
 seed reproduces the same instance on any platform. Entry points that need
 several independent draws derive them from the one seed in a fixed order.
+A seed is a nonnegative integer, read by the package's integer rule: a
+numpy integer is taken as a plain int, a ``bool``, a float, ``None`` or a
+sequence raises ``TypeError``, and a negative seed raises ``ValueError``.
+``GenParams``, both case generators and the benchmark's master seed are
+checked by that one rule, before any draw.
 """
 
 from __future__ import annotations
@@ -60,10 +65,11 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        # n and psi are taken by the package's integer rule and stored as
-        # plain ints; p may be any real but a bool.
+        # n and psi are taken by the package's integer rule and the seed by
+        # its seed rule, all stored as plain ints; p may be any real but a bool.
         object.__setattr__(self, "n", _integer(self.n, "the node count"))
         object.__setattr__(self, "psi", _integer(self.psi, "psi"))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         if type(self.p) is bool:
             raise TypeError(f"p must be a probability, not bool: {self.p!r}")
         if self.n < 1:
@@ -100,6 +106,14 @@ def random_banded_matrix(params: GenParams) -> Graph:
     return Graph(n, edges)
 
 
+def _check_seed(seed: object) -> int:
+    # The one seed rule of the package, so no bad seed reaches numpy.
+    seed = _integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def check_case(kind: str, n: int, k: int) -> tuple[int, int]:
     """``(n, k)`` as plain ints, once both are checked for a ``kind`` case.
 
@@ -131,11 +145,12 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     graph is no longer a bandwidth-k witness. Each attempt is scored on the
     drawn graph itself, as the bandwidth of the relabelling read as a
     layout, and only the accepted relabelling is built. ``k`` is checked by
-    :func:`check_case` before any draw. Raises :class:`GenerationError` when
-    the scramble budget runs out (callers reseed).
+    :func:`check_case`, then the seed, before any draw. Raises
+    :class:`GenerationError` when the scramble budget runs out (callers
+    reseed).
     """
     n, k = check_case(AFFIRMATIVE, n, k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     # psi = 0 would draw an edgeless graph, which no scramble lifts above
     # k >= 1; it is raised after the draw, so the random stream is unchanged.
     psi = max(1, int(rng.integers(max(0, k - 2), k + 1)))
@@ -171,7 +186,7 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     the sample satisfies max(alpha, gamma) <= k and bandwidth > k, the
     latter decided by :func:`~bandrec.baselines.bandwidth_at_most` at every
     ``n``, so no instance is labelled by the recognizer it tests. ``k`` is
-    checked by :func:`check_case` before any draw.
+    checked by :func:`check_case`, then the seed, before any draw.
     Raises :class:`GenerationError` when the attempt budget is exhausted.
 
     :func:`check_case` admits ``k = n-4`` at any ``n``, but near that
@@ -181,7 +196,7 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     ``n = 64``. So ``n = 44`` is the sampler's practical ceiling there.
     """
     n, k = check_case(NEGATIVE, n, k)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     for attempt in range(1, NEGATIVE_SAMPLE_BUDGET + 1):
         psi = int(rng.integers(k + 1, k + 4))
         p = float(rng.uniform(0.85, 0.95))

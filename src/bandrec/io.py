@@ -1,9 +1,11 @@
 """Edge-list file format: one header line ``n m``, then m lines ``u v``.
 
 Endpoints are 0-based with ``u < v``, fields separated by single spaces,
-LF line endings. Every field is ASCII decimal, with no sign and no leading
-zero. Canonical output sorts the edge lines ascending, so writing a parsed
-canonical file reproduces it byte for byte.
+LF line endings. The LF after the last line may be left out, since
+hand-written files often lack it; output always ends with one. Every field
+is ASCII decimal, with no sign and no leading zero. Canonical output sorts
+the edge lines ascending, so writing a parsed canonical file reproduces it
+byte for byte.
 """
 
 from __future__ import annotations

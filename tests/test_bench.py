@@ -70,7 +70,12 @@ class TestConfigValidation:
             dict(cases_per_pair=1.5),
             dict(cases_per_pair=True),
             dict(seed=0.5),
+            dict(seed=True),
+            dict(seed=None),
             dict(sizes=(12.0,)),
+            dict(timeout_s=True),
+            dict(timeout_s="5"),
+            dict(timeout_s=None),
         ],
     )
     def test_rejects(self, overrides):

@@ -89,8 +89,16 @@ class TestOtherCommands:
     def test_gen_negative_seed_is_named(self, tmp_path, capsys):
         argv = ["gen", "--kind", "affirmative", "--n", "12", "--k", "10", "--seed", "-1", "--output", str(tmp_path / "x")]
         assert main(argv) == 2
-        assert "--seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+        assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_gen_and_bench_refuse_a_negative_seed_alike(self, tmp_path, capsys):
+        gen = ["gen", "--kind", "banded", "--n", "10", "--psi", "3", "--p", "0.4", "--seed", "-1", "--output"]
+        assert main(gen + [str(tmp_path / "g.graph")]) == 2
+        gen_err = capsys.readouterr().err
+        assert main(["bench", "--seed", "-1", "--output", str(tmp_path / "b.csv"), "--quiet"]) == 2
+        assert capsys.readouterr().err == gen_err == "error: seed must be a nonnegative integer, got -1\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_gen_affirmative_k_out_of_range(self, tmp_path, capsys):
         argv = ["gen", "--kind", "affirmative", "--n", "10", "--k", "9", "--output", str(tmp_path / "x")]

@@ -27,6 +27,11 @@ from bandrec.recognition import SEARCH_EXHAUSTED, OutOfRegimeError, recognize
 from conftest import assert_certified
 
 
+# Each bad seed with its error: a non-integer raises TypeError and a
+# negative integer ValueError, before any draw.
+BAD_SEEDS = [(True, TypeError), (0.5, TypeError), (None, TypeError), ([1, 2], TypeError), (-1, ValueError)]
+
+
 class TestGenParams:
     @pytest.mark.parametrize(
         "n,psi,p",
@@ -43,10 +48,16 @@ class TestGenParams:
         with pytest.raises(TypeError):
             GenParams(n, psi, p, seed=1)
 
+    @pytest.mark.parametrize("seed,error", BAD_SEEDS)
+    def test_bad_seed(self, seed, error):
+        with pytest.raises(error):
+            GenParams(10, 3, 0.4, seed)
+
     def test_numpy_ints_are_stored_as_plain_ints(self):
-        params = GenParams(np.int64(10), np.int64(3), 0.4, 0)
-        assert (params.n, params.psi) == (10, 3) and type(params.n) is int and type(params.psi) is int
-        assert random_banded_matrix(params) == random_banded_matrix(GenParams(10, 3, 0.4, 0))
+        params = GenParams(np.int64(10), np.int64(3), 0.4, np.int64(5))
+        assert (params.n, params.psi, params.seed) == (10, 3, 5)
+        assert all(type(x) is int for x in (params.n, params.psi, params.seed))
+        assert random_banded_matrix(params) == random_banded_matrix(GenParams(10, 3, 0.4, 5))
 
 
 class TestRandomBandedMatrix:
@@ -273,6 +284,13 @@ class TestCaseRanges:
             check_case(kind, n, k)
         with pytest.raises(TypeError):
             GENERATORS[kind](n, k, 0)
+
+    @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
+    @pytest.mark.parametrize("seed,error", BAD_SEEDS)
+    def test_bad_seed_raises_before_any_draw(self, monkeypatch, kind, seed, error):
+        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        with pytest.raises(error):
+            GENERATORS[kind](9, 4, seed)
 
     @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
     def test_numpy_ints_are_read_as_plain_ints(self, kind):

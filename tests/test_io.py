@@ -34,6 +34,13 @@ def test_parse_accepts_unsorted_lines():
     assert g.edges == ((0, 1), (2, 3))
 
 
+@pytest.mark.parametrize("text", ["3 0", "3 1\n0 1"])
+def test_final_lf_may_be_left_out(text):
+    g = parse_graph_text(text)
+    assert g == parse_graph_text(text + "\n")
+    assert write_graph_text(g) == text + "\n"
+
+
 def test_edgeless():
     g = parse_graph_text("3 0\n")
     assert g.n == 3 and g.m == 0
