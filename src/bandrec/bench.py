@@ -89,39 +89,31 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Checked at construction, so an unusable config cannot exist. The
-        # counts are taken by the package's integer rule and the seed by
-        # generate's seed rule, and all three are stored as plain ints.
-        for name in ("cases_per_pair", "repetitions"):
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, _integer(value, name))
-            except TypeError as exc:
-                raise BenchConfigError(f"{name} must be an integer, got {value!r}") from exc
+        # Checked at construction, so an unusable config cannot exist: any TypeError
+        # or ValueError below, a malformed tuple's too, becomes a BenchConfigError.
+        # The counts and the seed are read by the package's integer and seed rules.
         try:
+            for name in ("cases_per_pair", "repetitions"):
+                object.__setattr__(self, name, _integer(getattr(self, name), name))
             object.__setattr__(self, "seed", _check_seed(self.seed))
+            if self.cases_per_pair < 1:
+                raise ValueError("cases per pair must be at least 1")
+            timeout = self.timeout_s
+            # A bool is not a number of seconds; the range test is also false for nan.
+            if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
+                raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
+            if self.repetitions < 3:
+                raise ValueError("timing needs at least 3 repetitions")
+            chosen = self.algorithms
+            if not chosen or len(set(chosen)) < len(chosen) or not set(chosen) <= ALGORITHMS.keys():
+                raise ValueError(f"need one or more distinct algorithms from {sorted(ALGORITHMS)}, got {chosen!r}")
+            cells = list(self.cells())
+            if not cells:
+                raise ValueError("the config has no cells: sizes, or both offset lists, are empty")
+            for cell in cells:
+                check_case(*cell)
         except (TypeError, ValueError) as exc:
             raise BenchConfigError(str(exc)) from exc
-        if not self.sizes:
-            raise BenchConfigError("sizes must be nonempty")
-        if self.cases_per_pair < 1:
-            raise BenchConfigError("cases per pair must be at least 1")
-        timeout = self.timeout_s
-        # A bool is not a number of seconds; the range test is also false for nan.
-        if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
-            raise BenchConfigError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
-        if self.repetitions < 3:
-            raise BenchConfigError("timing needs at least 3 repetitions")
-        unknown = set(self.algorithms) - set(ALGORITHMS)
-        if not self.algorithms or unknown:
-            raise BenchConfigError(f"unknown algorithms: {sorted(unknown)}" if unknown else "no algorithms selected")
-        if not self.affirmative_offsets and not self.negative_offsets:
-            raise BenchConfigError("no k offsets for either case kind")
-        for kind, n, k in self.cells():
-            try:
-                check_case(kind, n, k)
-            except (TypeError, ValueError) as exc:
-                raise BenchConfigError(f"{kind} cell (n={n}, k={k}): {exc}") from exc
 
     def cells(self) -> Iterable[tuple[str, int, int]]:
         # An empty offset tuple skips its kind.

@@ -26,6 +26,7 @@ checked by that one rule, before any draw.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Any
 
@@ -70,8 +71,8 @@ class GenParams:
         object.__setattr__(self, "n", _integer(self.n, "the node count"))
         object.__setattr__(self, "psi", _integer(self.psi, "psi"))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        if type(self.p) is bool:
-            raise TypeError(f"p must be a probability, not bool: {self.p!r}")
+        if type(self.p) is bool or not isinstance(self.p, numbers.Real):
+            raise TypeError(f"p must be a real probability, got {self.p!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if not 0 <= self.psi <= self.n - 1:

@@ -20,9 +20,13 @@ from typing import Iterable, Sequence
 def _integer(v: object, what: str) -> int:
     # The one integer check of the package, for node ids, n and k: an
     # integer by operator.index, with bool refused though it is an int.
+    # Either TypeError names what it reads, which operator.index's does not.
     if type(v) is bool:
         raise TypeError(f"{what} must be an integer, not bool: {v!r}")
-    return operator.index(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, got {v!r}") from None
 
 
 def _node(v: object, n: int) -> int:

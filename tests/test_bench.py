@@ -76,10 +76,20 @@ class TestConfigValidation:
             dict(timeout_s=True),
             dict(timeout_s="5"),
             dict(timeout_s=None),
+            dict(sizes=("a",)),
+            dict(sizes=10),
+            dict(affirmative_offsets=None, negative_offsets=(-4,)),
+            dict(algorithms=None),
+            dict(algorithms=("hall", "hall")),  # each instance would run twice into one cell
         ],
     )
     def test_rejects(self, overrides):
         with pytest.raises(BenchConfigError):
+            small_config(**overrides)
+
+    @pytest.mark.parametrize("overrides", [dict(sizes=()), dict(affirmative_offsets=(), negative_offsets=())])
+    def test_no_cells_is_one_rule(self, overrides):
+        with pytest.raises(BenchConfigError, match="^the config has no cells"):
             small_config(**overrides)
 
     def test_numpy_counts_are_stored_as_plain_ints(self):

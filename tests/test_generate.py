@@ -1,4 +1,5 @@
 import hashlib
+import re
 import time
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from bandrec import baselines, generate, recognition
 from bandrec.baselines import bandwidth_at_most, exact_bandwidth_bruteforce
 from bandrec.bench import BenchConfig, BenchConfigError
 from bandrec.bounds import bandwidth_bounds
-from bandrec.families import complete_graph
+from bandrec.families import complete_graph, path_graph
 from bandrec.generate import (
     AFFIRMATIVE,
     GENERATORS,
@@ -42,10 +43,13 @@ class TestGenParams:
             GenParams(n, psi, p, seed=1)
 
     @pytest.mark.parametrize(
-        "n,psi,p", [(10, 3.0, 0.4), (10.0, 3, 0.4), (10, True, 0.5), (True, 0, 0.5), (10, 3, True)]
+        "n,psi,p",
+        [(10, 3.0, 0.4), (10.0, 3, 0.4), (10, True, 0.5), (True, 0, 0.5), (10, 3, True), (10, 3, "0.5"), (10, 3, None)],
     )
     def test_float_and_bool_raise_type_error(self, n, psi, p):
-        with pytest.raises(TypeError):
+        # The error names the first bad field of n, psi and p.
+        name = "the node count" if type(n) is not int else "psi" if type(psi) is not int else "p"
+        with pytest.raises(TypeError, match=f"^{name} must be"):
             GenParams(n, psi, p, seed=1)
 
     @pytest.mark.parametrize("seed,error", BAD_SEEDS)
@@ -58,6 +62,23 @@ class TestGenParams:
         assert (params.n, params.psi, params.seed) == (10, 3, 5)
         assert all(type(x) is int for x in (params.n, params.psi, params.seed))
         assert random_banded_matrix(params) == random_banded_matrix(GenParams(10, 3, 0.4, 5))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: Graph(3.0), "the node count must be an integer, got 3.0"),
+        (lambda: Graph(2, [(0, 1.5)]), "a node id must be an integer, got 1.5"),
+        (lambda: Layout([0.0]), "a position must be an integer, got 0.0"),
+        (lambda: recognize(path_graph(3), 2.5), "k must be an integer, got 2.5"),
+        (lambda: GenParams(10, 3.0, 0.4, 0), "psi must be an integer, got 3.0"),
+        (lambda: generate_negative_case(9, 4, 0.5), "seed must be an integer, got 0.5"),
+    ],
+    ids=["n", "node-id", "position", "k", "psi", "seed"],
+)
+def test_non_integer_errors_name_their_input(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestRandomBandedMatrix:
