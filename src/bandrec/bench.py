@@ -91,8 +91,14 @@ class BenchConfig:
     def __post_init__(self) -> None:
         # Checked at construction, so an unusable config cannot exist: any TypeError
         # or ValueError below, a malformed tuple's too, becomes a BenchConfigError.
-        # The counts and the seed are read by the package's integer and seed rules.
+        # The counts, each size and offset, and the seed are read by the package's
+        # integer and seed rules; the three sequences are stored as int tuples.
         try:
+            for name in ("sizes", "affirmative_offsets", "negative_offsets"):
+                values = getattr(self, name)
+                if not isinstance(values, Iterable):
+                    raise TypeError(f"{name} must be a sequence of integers, got {values!r}")
+                object.__setattr__(self, name, tuple(_integer(v, f"an entry of {name}") for v in values))
             for name in ("cases_per_pair", "repetitions"):
                 object.__setattr__(self, name, _integer(getattr(self, name), name))
             object.__setattr__(self, "seed", _check_seed(self.seed))

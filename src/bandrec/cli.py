@@ -124,9 +124,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_bench(args) -> int:
     config = BenchConfig(
-        sizes=tuple(args.sizes),
-        affirmative_offsets=tuple(args.k_offsets_affirmative),
-        negative_offsets=tuple(args.k_offsets_negative),
+        sizes=args.sizes,
+        affirmative_offsets=args.k_offsets_affirmative,
+        negative_offsets=args.k_offsets_negative,
         cases_per_pair=args.cases,
         timeout_s=args.timeout,
         repetitions=args.reps,

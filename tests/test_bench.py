@@ -92,6 +92,25 @@ class TestConfigValidation:
         with pytest.raises(BenchConfigError, match="^the config has no cells"):
             small_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(sizes=10), "^sizes must be a sequence of integers, got 10$"),
+            (dict(sizes=("a",)), "^an entry of sizes must be an integer, got 'a'$"),
+            (dict(affirmative_offsets=None), "^affirmative_offsets must be a sequence of integers, got None$"),
+            (dict(negative_offsets=(True,)), "^an entry of negative_offsets must be an integer, not bool: True$"),
+        ],
+    )
+    def test_sequence_errors_name_their_field(self, overrides, message):
+        with pytest.raises(BenchConfigError, match=message):
+            small_config(**overrides)
+
+    def test_sequences_are_stored_as_int_tuples(self):
+        config = small_config(sizes=[np.int64(10), 12], affirmative_offsets=[-2], negative_offsets=[-6])
+        assert config == small_config(sizes=(10, 12), negative_offsets=(-6,))
+        assert all(type(x) is int for x in (*config.sizes, *config.affirmative_offsets, *config.negative_offsets))
+        assert hash(config) == hash(small_config(sizes=(10, 12), negative_offsets=(-6,)))
+
     def test_numpy_counts_are_stored_as_plain_ints(self):
         config = small_config(cases_per_pair=np.int64(2), repetitions=np.int64(3), seed=np.int64(7))
         assert config == small_config()

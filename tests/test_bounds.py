@@ -82,6 +82,33 @@ class TestLowerBoundProperty:
             assert (b.alpha, b.gamma) == bounds_by_definition(g)
 
 
+def _complete_split(hubs: int, leaves: int, hubs_first: bool = True) -> Graph:
+    """``hubs`` nodes joined to each other and to every one of ``leaves``
+    pairwise non-adjacent nodes; the hubs take the lowest ids or the highest."""
+    hub_ids = range(hubs) if hubs_first else range(leaves, leaves + hubs)
+    others = [v for v in range(hubs + leaves) if v not in hub_ids]
+    edges = [(h, v) for i, h in enumerate(hub_ids) for v in [*hub_ids[i + 1 :], *others]]
+    return Graph(hubs + leaves, edges)
+
+
+def _wheel(rim: int, hub_first: bool = True) -> Graph:
+    """A cycle of ``rim`` nodes and one hub joined to all of them; the hub is
+    node 0 or node ``rim``."""
+    offset, hub = (1, 0) if hub_first else (0, rim)
+    cycle = [(offset + i, offset + (i + 1) % rim) for i in range(rim)]
+    spokes = [(hub, offset + i) for i in range(rim)]
+    return Graph(rim + 1, cycle + spokes)
+
+
+def _union(*parts: Graph) -> Graph:
+    """The disjoint union, each part's ids shifted past the ones before it."""
+    edges, n = [], 0
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Graph(n, edges)
+
+
 class _CountingMasks(tuple):
     """A neighbour-mask tuple that counts its indexed reads."""
 
@@ -127,6 +154,16 @@ class TestWalkStops:
         assert bandwidth_bounds(g) == BandwidthBounds(3, 0)
         assert g.neighbor_masks.reads == 11
 
+    def test_layer_ends_once_it_holds_every_node(self):
+        # Two hubs joined to each other and to 6 leaves: a hub's degree 7
+        # reaches ceil((8-1)/2) and reads only its own mask. A leaf's degree 2
+        # does not, so it expands its first layer, the two hubs; the first
+        # hub's mask already brings in every node, so the leaf reads 2 masks,
+        # not 3 (2 + 6 * 2 reads; 20 if each layer read all its masks).
+        g = _CountedGraph(_complete_split(2, 6))
+        assert bandwidth_bounds(g) == BandwidthBounds(4, 4)
+        assert g.neighbor_masks.reads == 14
+
     def test_disconnected_walk_runs_to_an_empty_frontier(self):
         # Two triangles and an isolated node: a triangle node's degree 2 is
         # below ceil((7-1)/2), so each triangle node also expands its 2-node
@@ -151,8 +188,24 @@ class TestWalkStops:
         for g in draws:
             assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
         for a, b in zip(draws, draws[1:]):
-            union = Graph(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges])
+            union = _union(a, b)
             assert bandwidth_bounds(union) == BandwidthBounds(*bounds_by_definition(union))
+
+    def test_layers_filling_early_or_late_match_the_definition(self, rng):
+        # A layer holds every node after its first mask in a complete split
+        # graph (a leaf's first layer is all hubs) and in a wheel whose hub is
+        # node 0, but only after its last mask when the hub is the highest
+        # id; affirm-regime draws up to n = 40 fill anywhere in between. In
+        # disjoint unions of these no layer ever fills.
+        draws = [_complete_split(h, leaves, first) for h in (1, 2, 3) for leaves in (1, 4, 7) for first in (True, False)]
+        draws += [_wheel(rim, first) for rim in (3, 5, 8, 11) for first in (True, False)]
+        for _ in range(10):
+            n = int(rng.integers(16, 41))
+            k = n - int(rng.integers(2, 4))
+            draws.append(generate_affirmative_case(n, k, int(rng.integers(0, 2**31)))[0])
+        unions = [_union(a, b) for a, b in zip(draws[::3], draws[1::3])]
+        for g in draws + unions:
+            assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
 
 
 @pytest.mark.parametrize("op", [alpha_bound, gamma_bound, bandwidth_bounds])
