@@ -92,7 +92,8 @@ class BenchConfig:
         # Checked at construction, so an unusable config cannot exist: any TypeError
         # or ValueError below, a malformed tuple's too, becomes a BenchConfigError.
         # The counts, each size and offset, and the seed are read by the package's
-        # integer and seed rules; the three sequences are stored as int tuples.
+        # integer and seed rules; the three sequences are stored as int tuples,
+        # and the algorithms as a tuple of str.
         try:
             for name in ("sizes", "affirmative_offsets", "negative_offsets"):
                 values = getattr(self, name)
@@ -111,8 +112,14 @@ class BenchConfig:
             if self.repetitions < 3:
                 raise ValueError("timing needs at least 3 repetitions")
             chosen = self.algorithms
-            if not chosen or len(set(chosen)) < len(chosen) or not set(chosen) <= ALGORITHMS.keys():
+            # A bare string is one name, not a sequence of one-letter names.
+            if isinstance(chosen, str) or not isinstance(chosen, Iterable):
+                raise TypeError(f"algorithms must be a sequence of names, got {chosen!r}")
+            chosen = tuple(chosen)
+            named = all(isinstance(name, str) for name in chosen)
+            if not named or not chosen or len(set(chosen)) < len(chosen) or not set(chosen) <= ALGORITHMS.keys():
                 raise ValueError(f"need one or more distinct algorithms from {sorted(ALGORITHMS)}, got {chosen!r}")
+            object.__setattr__(self, "algorithms", tuple(str(name) for name in chosen))
             cells = list(self.cells())
             if not cells:
                 raise ValueError("the config has no cells: sizes, or both offset lists, are empty")

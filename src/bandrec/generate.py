@@ -3,10 +3,13 @@
 Banded graphs are drawn edge-by-edge inside a band of half-width psi around
 the diagonal of the adjacency matrix, then patched so every label distance
 1..psi is realised by at least one edge; the result is guaranteed to have
-bandwidth at most psi. Affirmative benchmark cases scramble such a graph
-with random layouts until the identity labelling stops being a witness, so
-a recognizer has to actually find one; each attempt is scored on the drawn
-graph, and only the accepted scramble is built as a graph. Negative cases
+bandwidth at most psi. The drawn edges are valid, ordered and distinct by
+construction, so they are written as a graph without :class:`Graph`'s
+per-edge checks. Affirmative benchmark cases scramble such a draw with
+random layouts until the identity labelling stops being a witness, so a
+recognizer has to actually find one; each attempt is scored on the drawn
+edge list, and only the accepted scramble is written, so each case writes
+one graph. Negative cases
 rejection-sample denser, wider bands until the bandwidth exceeds k while
 both lower bounds stay at or below k, which rules out trivial bounds-based
 dismissal; the bandwidth is decided by the deadline-search oracle
@@ -34,7 +37,7 @@ import numpy as np
 
 from .baselines import bandwidth_at_most
 from .bounds import bandwidth_bounds
-from .graph import Graph, Layout, _integer, layout_bandwidth
+from .graph import Graph, _fill, _integer, _remap
 from .recognition import coerce_k, regime_floor, require_regime
 
 AFFIRMATIVE = "affirmative"
@@ -90,7 +93,17 @@ def random_banded_matrix(params: GenParams) -> Graph:
     as that many scalar draws, in the same order. Afterwards,
     every distance d in 1..psi that ended up unrealised gets one uniformly
     random edge at exactly that distance. Deterministic given the seed.
+    The drawn edge list is in range, sorted and distinct by construction,
+    so it is written as the graph without :class:`Graph`'s per-edge checks;
+    :func:`generate_affirmative_case` scores the same list without writing it.
     """
+    return _fill(object.__new__(Graph), params.n, _band_edges(params))
+
+
+def _band_edges(params: GenParams) -> list[tuple[int, int]]:
+    # random_banded_matrix's draw, as the sorted edge list of its graph: each
+    # pair (u, v) has u < v, and the patch edges realise distances that no
+    # band edge has, so no pair repeats.
     n, psi, p = params.n, params.psi, params.p
     rng = np.random.default_rng(params.seed)
     count = sum(min(psi, n - 1 - u) for u in range(n))
@@ -104,7 +117,8 @@ def random_banded_matrix(params: GenParams) -> Graph:
         if d not in seen:
             u = int(rng.integers(0, n - d))
             edges.append((u, u + d))
-    return Graph(n, edges)
+    edges.sort()
+    return edges
 
 
 def _check_seed(seed: object) -> int:
@@ -141,11 +155,12 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     """Instance with bandwidth <= k whose identity labelling exceeds k.
 
     Draws psi uniformly from {k-2, k-1, k} (clamped at 0, and a drawn 0
-    raised to 1) and p from [0.3, 0.6], builds a banded graph, then draws
+    raised to 1) and p from [0.3, 0.6], draws a banded edge list, then draws
     random relabellings until the identity labelling of the relabelled
     graph is no longer a bandwidth-k witness. Each attempt is scored on the
-    drawn graph itself, as the bandwidth of the relabelling read as a
-    layout, and only the accepted relabelling is built. ``k`` is checked by
+    drawn edge list, as ``max |r[u] - r[v]|`` over its edges for the
+    relabelling ``r``, and only the accepted relabelling is written, so the
+    case writes one graph and no layout. ``k`` is checked by
     :func:`check_case`, then the seed, before any draw. Raises
     :class:`GenerationError` when the scramble budget runs out (callers
     reseed).
@@ -157,12 +172,16 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     psi = max(1, int(rng.integers(max(0, k - 2), k + 1)))
     p = float(rng.uniform(0.3, 0.6))
     band_seed = int(rng.integers(0, 2**63))
-    g = random_banded_matrix(GenParams(n, psi, p, band_seed))
+    edges = _band_edges(GenParams(n, psi, p, band_seed))
     for attempt in range(1, AFFIRMATIVE_SCRAMBLE_BUDGET + 1):
         relabeling = rng.permutation(n).tolist()
-        # Node v of g sits at position relabeling[v] of the relabelled graph's
-        # identity labelling, so this is that labelling's bandwidth.
-        identity_bandwidth = layout_bandwidth(g, Layout(relabeling))
+        # Drawn node v is node relabeling[v] of the relabelled graph, so this
+        # is the bandwidth of that graph's identity labelling.
+        identity_bandwidth = 0
+        for u, v in edges:
+            stretch = abs(relabeling[u] - relabeling[v])
+            if stretch > identity_bandwidth:
+                identity_bandwidth = stretch
         if identity_bandwidth > k:
             meta = {
                 "kind": AFFIRMATIVE,
@@ -174,7 +193,7 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
                 "scramble_attempts": attempt,
                 "identity_bandwidth": identity_bandwidth,
             }
-            return g.relabeled(relabeling), meta
+            return _remap(n, edges, relabeling), meta
     raise GenerationError(
         f"no scramble of the drawn graph exceeded k={k} after {AFFIRMATIVE_SCRAMBLE_BUDGET} layouts"
     )

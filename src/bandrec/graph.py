@@ -5,7 +5,9 @@ before construction. Graphs are undirected and simple (no self-loops).
 :class:`Graph` and :class:`Layout` are frozen, slotted dataclasses with
 hand-written ``__init__``s, so they compare, hash, copy and pickle by value.
 One function writes both stored forms of a graph, the sorted edge tuple and
-the per-node bitmasks built from it, and refuses zero nodes. Edge queries
+the per-node bitmasks built from it, and refuses zero nodes. A relabelled
+copy of a valid edge list is written through one shared remap, which both
+:meth:`Graph.relabeled` and the affirmative generator call. Edge queries
 test one bit; breadth-first walks OR a frontier's masks, each with its own
 inlined set-bit loop.
 """
@@ -50,6 +52,19 @@ def _fill(g: Graph, n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     object.__setattr__(g, "edges", tuple(edges))
     object.__setattr__(g, "neighbor_masks", tuple(masks))
     return g
+
+
+def _remap(n: int, edges: Iterable[tuple[int, int]], mapping: Sequence[int]) -> Graph:
+    # The graph on n nodes of ``edges`` with node v renamed to mapping[v].
+    # ``edges`` must be valid and distinct, and ``mapping`` a bijection of
+    # plain ints onto 0..n-1: it maps distinct valid edges to distinct valid
+    # edges, so normalising and one sort make them ready for _fill.
+    remapped = []
+    for u, v in edges:
+        u, v = mapping[u], mapping[v]
+        remapped.append((u, v) if u < v else (v, u))
+    remapped.sort()
+    return _fill(object.__new__(Graph), n, remapped)
 
 
 @dataclass(frozen=True, slots=True, init=False, repr=False)
@@ -112,14 +127,7 @@ class Graph:
         mapping = [x if type(x) is int else _integer(x, "a node id") for x in mapping]
         if sorted(mapping) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection onto 0..n-1")
-        # A bijection maps distinct valid edges to distinct valid edges, so
-        # normalising and one sort make them ready for _fill.
-        edges = []
-        for u, v in self.edges:
-            u, v = mapping[u], mapping[v]
-            edges.append((u, v) if u < v else (v, u))
-        edges.sort()
-        return _fill(object.__new__(Graph), self.n, edges)
+        return _remap(self.n, self.edges, mapping)
 
     def subgraph(self, nodes: Sequence[int]) -> tuple["Graph", tuple[int, ...]]:
         """Induced subgraph on ``nodes``, relabelled to ``0..len(nodes)-1``.

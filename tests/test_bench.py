@@ -81,6 +81,8 @@ class TestConfigValidation:
             dict(affirmative_offsets=None, negative_offsets=(-4,)),
             dict(algorithms=None),
             dict(algorithms=("hall", "hall")),  # each instance would run twice into one cell
+            dict(algorithms="naive"),  # one name, not the letters n, a, i, v, e
+            dict(algorithms=(["hall"],)),
         ],
     )
     def test_rejects(self, overrides):
@@ -110,6 +112,16 @@ class TestConfigValidation:
         assert config == small_config(sizes=(10, 12), negative_offsets=(-6,))
         assert all(type(x) is int for x in (*config.sizes, *config.affirmative_offsets, *config.negative_offsets))
         assert hash(config) == hash(small_config(sizes=(10, 12), negative_offsets=(-6,)))
+
+    def test_algorithms_are_stored_as_a_str_tuple(self):
+        config = small_config(algorithms=["hall", np.str_("naive")])
+        assert config.algorithms == ("hall", "naive")
+        assert all(type(name) is str for name in config.algorithms)
+        assert hash(config) == hash(small_config(algorithms=("hall", "naive")))
+
+    def test_a_bare_algorithm_name_is_refused_by_name(self):
+        with pytest.raises(BenchConfigError, match="^algorithms must be a sequence of names, got 'naive'$"):
+            small_config(algorithms="naive")
 
     def test_numpy_counts_are_stored_as_plain_ints(self):
         config = small_config(cases_per_pair=np.int64(2), repetitions=np.int64(3), seed=np.int64(7))

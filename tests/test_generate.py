@@ -5,8 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bandrec import baselines, generate, recognition
+from bandrec import baselines, generate, graph, recognition
 from bandrec.baselines import bandwidth_at_most, exact_bandwidth_bruteforce
 from bandrec.bench import BenchConfig, BenchConfigError
 from bandrec.bounds import bandwidth_bounds
@@ -157,6 +159,69 @@ class TestAffirmativeCases:
         monkeypatch.setattr(generate, "np", _NO_DRAWS)
         with pytest.raises(ValueError, match=r"\[4, 8\]"):
             generate_affirmative_case(10, 9, 0)
+
+
+def _replayed_relabeling(n, k, seed, meta):
+    # generate_affirmative_case's draws in their documented order: psi, p,
+    # band seed, then one permutation per scramble attempt, the last kept.
+    rng = np.random.default_rng(seed)
+    rng.integers(max(0, k - 2), k + 1)
+    rng.uniform(0.3, 0.6)
+    rng.integers(0, 2**63)
+    for _ in range(meta["scramble_attempts"]):
+        relabeling = rng.permutation(n).tolist()
+    return relabeling
+
+
+@st.composite
+def gen_params(draw):
+    n = draw(st.integers(min_value=1, max_value=40))
+    psi = draw(st.integers(min_value=0, max_value=n - 1))
+    p = draw(st.floats(min_value=0, max_value=1, exclude_min=True))
+    return GenParams(n, psi, p, draw(st.integers(min_value=0, max_value=2**64)))
+
+
+class TestTrustedWrites:
+    """The generators write their graphs without Graph's per-edge checks;
+    each written graph must equal the one those checks would build."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(gen_params())
+    def test_banded_draw_equals_the_validated_graph(self, params):
+        g = random_banded_matrix(params)
+        checked = Graph(params.n, g.edges)
+        assert g == checked
+        assert g.neighbor_masks == checked.neighbor_masks
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_affirmative_case_equals_the_relabelled_draw(self, data):
+        n = data.draw(st.integers(min_value=3, max_value=40))
+        k = data.draw(st.integers(min_value=max(1, (n - 1) // 2), max_value=n - 2))
+        seed = data.draw(st.integers(min_value=0, max_value=2**64))
+        g, meta = generate_affirmative_case(n, k, seed)
+        drawn = random_banded_matrix(GenParams(n, meta["psi"], meta["p"], meta["band_seed"]))
+        relabelled = drawn.relabeled(_replayed_relabeling(n, k, seed, meta))
+        assert g == relabelled
+        assert g.neighbor_masks == relabelled.neighbor_masks
+
+    def test_an_affirmative_case_writes_one_graph_and_no_layout(self, monkeypatch):
+        fill, writes = graph._fill, []
+
+        def counted(g, n, edges):
+            writes.append(n)
+            return fill(g, n, edges)
+
+        def no_layout(self, forward):
+            raise AssertionError("a Layout built while scoring scrambles")
+
+        monkeypatch.setattr(graph, "_fill", counted)
+        monkeypatch.setattr(generate, "_fill", counted, raising=False)
+        monkeypatch.setattr(Layout, "__init__", no_layout)
+        for seed in range(5):
+            writes.clear()
+            _, meta = generate_affirmative_case(16, 13, seed)
+            assert writes == [16], meta["scramble_attempts"]
 
 
 class TestNegativeCases:
