@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Sequence, TextIO
 import numpy as np
 
 from .baselines import naive_recognition
-from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, _check_seed, check_case
+from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
 from .graph import Graph, _integer
 from .recognition import recognize
 
@@ -91,26 +91,21 @@ class BenchConfig:
     def __post_init__(self) -> None:
         # Checked at construction, so an unusable config cannot exist: any TypeError
         # or ValueError below, a malformed tuple's too, becomes a BenchConfigError.
-        # The counts, each size and offset, and the seed are read by the package's
-        # integer and seed rules; the three sequences are stored as int tuples,
-        # and the algorithms as a tuple of str.
+        # Each size and offset, the counts and the seed are read by the package's
+        # integer rule, the last three with their floors; the three sequences are
+        # stored as int tuples, and the algorithms as a tuple of str.
         try:
             for name in ("sizes", "affirmative_offsets", "negative_offsets"):
                 values = getattr(self, name)
                 if not isinstance(values, Iterable):
                     raise TypeError(f"{name} must be a sequence of integers, got {values!r}")
                 object.__setattr__(self, name, tuple(_integer(v, f"an entry of {name}") for v in values))
-            for name in ("cases_per_pair", "repetitions"):
-                object.__setattr__(self, name, _integer(getattr(self, name), name))
-            object.__setattr__(self, "seed", _check_seed(self.seed))
-            if self.cases_per_pair < 1:
-                raise ValueError("cases per pair must be at least 1")
+            for name, least in (("cases_per_pair", 1), ("repetitions", 3), ("seed", 0)):
+                object.__setattr__(self, name, _integer(getattr(self, name), name, least))
             timeout = self.timeout_s
             # A bool is not a number of seconds; the range test is also false for nan.
             if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
                 raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
-            if self.repetitions < 3:
-                raise ValueError("timing needs at least 3 repetitions")
             chosen = self.algorithms
             # A bare string is one name, not a sequence of one-letter names.
             if isinstance(chosen, str) or not isinstance(chosen, Iterable):
@@ -155,10 +150,10 @@ def _generate_instance(kind: str, n: int, k: int, seed: int) -> tuple[Graph, int
     raise GenerationError(f"could not generate a {kind} instance for n={n}, k={k} from seed {seed}")
 
 
-def _solve_worker(conn, n: int, edges: tuple, k: int, algorithm: str, repetitions: int) -> None:
+def _solve_worker(conn, g: Graph, k: int, algorithm: str, repetitions: int) -> None:
     """Child body: ``repetitions`` timed solves, then one 4-tuple for ``solve_with_timeout``."""
     try:
-        g, solver = Graph(n, edges), ALGORITHMS[algorithm]
+        solver = ALGORITHMS[algorithm]
         verdicts, times = set(), []
         for _ in range(repetitions):
             start = time.perf_counter_ns()
@@ -190,7 +185,7 @@ def solve_with_timeout(
     yields tle no matter how fast the child is.
     """
     receiver, sender = mp.Pipe(duplex=False)
-    proc = mp.Process(target=_solve_worker, args=(sender, g.n, g.edges, k, algorithm, repetitions))
+    proc = mp.Process(target=_solve_worker, args=(sender, g, k, algorithm, repetitions))
     start = time.perf_counter()
     proc.start()
     sender.close()

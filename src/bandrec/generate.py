@@ -20,11 +20,13 @@ generator of each (``GENERATORS``) are defined here for the whole package.
 All draws come from numpy's seeded default generator (PCG64), so a given
 seed reproduces the same instance on any platform. Entry points that need
 several independent draws derive them from the one seed in a fixed order.
-A seed is a nonnegative integer, read by the package's integer rule: a
-numpy integer is taken as a plain int, a ``bool``, a float, ``None`` or a
-sequence raises ``TypeError``, and a negative seed raises ``ValueError``.
-``GenParams``, both case generators and the benchmark's master seed are
-checked by that one rule, before any draw.
+A seed is read by the package's integer rule with floor 0, the rule that
+also reads ``k`` (:func:`~bandrec.recognition.coerce_k`): a numpy integer
+is taken as a plain int, a ``bool``, a float, ``None`` or a sequence
+raises ``TypeError``, and a negative seed raises ``ValueError``
+(``seed must be a nonnegative integer, got -1``). ``GenParams``, both
+case generators and the benchmark's master seed are checked by that one
+rule, before any draw.
 """
 
 from __future__ import annotations
@@ -69,15 +71,13 @@ class GenParams:
     seed: int
 
     def __post_init__(self) -> None:
-        # n and psi are taken by the package's integer rule and the seed by
-        # its seed rule, all stored as plain ints; p may be any real but a bool.
-        object.__setattr__(self, "n", _integer(self.n, "the node count"))
+        # n (floor 1), psi and the seed (floor 0) are read by the package's
+        # integer rule and stored as plain ints; p may be any real but a bool.
+        object.__setattr__(self, "n", _integer(self.n, "the node count", 1))
         object.__setattr__(self, "psi", _integer(self.psi, "psi"))
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", 0))
         if type(self.p) is bool or not isinstance(self.p, numbers.Real):
             raise TypeError(f"p must be a real probability, got {self.p!r}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
         if not 0 <= self.psi <= self.n - 1:
             raise ValueError(f"psi must lie in [0, n-1], got {self.psi}")
         if not 0 < self.p <= 1:
@@ -121,14 +121,6 @@ def _band_edges(params: GenParams) -> list[tuple[int, int]]:
     return edges
 
 
-def _check_seed(seed: object) -> int:
-    # The one seed rule of the package, so no bad seed reaches numpy.
-    seed = _integer(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
-    return seed
-
-
 def check_case(kind: str, n: int, k: int) -> tuple[int, int]:
     """``(n, k)`` as plain ints, once both are checked for a ``kind`` case.
 
@@ -166,7 +158,7 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     reseed).
     """
     n, k = check_case(AFFIRMATIVE, n, k)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     # psi = 0 would draw an edgeless graph, which no scramble lifts above
     # k >= 1; it is raised after the draw, so the random stream is unchanged.
     psi = max(1, int(rng.integers(max(0, k - 2), k + 1)))
@@ -216,7 +208,7 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     ``n = 64``. So ``n = 44`` is the sampler's practical ceiling there.
     """
     n, k = check_case(NEGATIVE, n, k)
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(_integer(seed, "seed", 0))
     for attempt in range(1, NEGATIVE_SAMPLE_BUDGET + 1):
         psi = int(rng.integers(k + 1, k + 4))
         p = float(rng.uniform(0.85, 0.95))

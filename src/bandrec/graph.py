@@ -19,16 +19,21 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
-def _integer(v: object, what: str) -> int:
-    # The one integer check of the package, for node ids, n and k: an
-    # integer by operator.index, with bool refused though it is an int.
-    # Either TypeError names what it reads, which operator.index's does not.
+def _integer(v: object, what: str, least: int | None = None) -> int:
+    # The one integer check of the package, for node ids, n, k and seeds: an
+    # integer by operator.index, with bool refused though it is an int, and
+    # with ValueError below ``least`` when a floor is given. Every error
+    # names what it reads and the value, which operator.index's do not.
     if type(v) is bool:
         raise TypeError(f"{what} must be an integer, not bool: {v!r}")
     try:
-        return operator.index(v)
+        v = operator.index(v)
     except TypeError:
         raise TypeError(f"{what} must be an integer, got {v!r}") from None
+    if least is not None and v < least:
+        floor = "a nonnegative integer" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {floor}, got {v}")
+    return v
 
 
 def _node(v: object, n: int) -> int:
@@ -124,7 +129,7 @@ class Graph:
         raises ``TypeError``), and the mapping must be a bijection onto
         ``0..n-1`` (``ValueError`` otherwise).
         """
-        mapping = [x if type(x) is int else _integer(x, "a node id") for x in mapping]
+        mapping = [_integer(x, "a node id") for x in mapping]
         if sorted(mapping) != list(range(self.n)):
             raise ValueError("relabeling must be a bijection onto 0..n-1")
         return _remap(self.n, self.edges, mapping)
@@ -166,7 +171,7 @@ class Layout:
     inverse: tuple[int, ...] = field(compare=False, repr=False)
 
     def __init__(self, forward: Sequence[int]) -> None:
-        forward = tuple([p if type(p) is int else _integer(p, "a position") for p in forward])
+        forward = tuple([_integer(p, "a position") for p in forward])
         n = len(forward)
         if n < 1:
             raise ValueError("layout needs at least one node")

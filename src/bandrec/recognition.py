@@ -59,12 +59,11 @@ class OutOfRegimeError(ValueError):
 
 
 def coerce_k(k) -> int:
-    """``k`` coerced like a node id (``operator.index``; ``bool`` or a
-    non-integer raises ``TypeError``); a negative ``k`` raises ``ValueError``."""
-    k = _integer(k, "k")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return k
+    """``k`` read by the package's integer rule, the one that seeds share
+    (``operator.index``; ``bool`` or a non-integer raises ``TypeError``),
+    with floor 0: a negative ``k`` raises ``ValueError``
+    (``k must be a nonnegative integer, got -1``)."""
+    return _integer(k, "k", 0)
 
 
 def regime_floor(size: int) -> int:

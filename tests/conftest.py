@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,6 +22,30 @@ def all_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+
+
+def disjoint_union(pieces, order=None) -> Graph:
+    """The pieces side by side, each one's ids shifted past the ones before
+    it, then node ``i`` of the concatenation renamed ``order[i]`` if an
+    ``order`` is given."""
+    edges, n = [], 0
+    for piece in pieces:
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += piece.n
+    if order is not None:
+        edges = [(order[u], order[v]) for u, v in edges]
+    return Graph(n, edges)
+
+
+def feasible_right_exists(g: Graph, k: int, left) -> bool:
+    """Brute-force ground truth: some compatible right assignment passes the
+    direct every-far-pair edge test."""
+    width = g.n - k - 1
+    rest = [v for v in range(g.n) if v not in left]
+    for right in permutations(rest, width):
+        if all(not g.adjacent(left[i], right[j]) for i in range(width) for j in range(i, width)):
+            return True
+    return False
 
 
 @st.composite

@@ -8,7 +8,6 @@ generous tolerances meant to hold on any commodity machine.
 import csv
 import statistics
 import time
-from itertools import permutations
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from bandrec.generate import (
 from bandrec.graph import layout_bandwidth
 from bandrec.io import write_graph_text
 from bandrec.recognition import build_blocked_index, check_hall_and_build_right, recognize
-from conftest import all_graphs, random_graph, regime_ks
+from conftest import all_graphs, feasible_right_exists, random_graph, regime_ks
 
 
 class SoundnessRecorder:
@@ -110,19 +109,6 @@ def test_criterion_4_closed_form_bound_values():
     report(4, "alpha/gamma closed forms on complete bipartite and lollipop families")
 
 
-def _feasible_right_exists(g, k, left):
-    width = g.n - k - 1
-    rest = [v for v in range(g.n) if v not in left]
-    for right in permutations(rest, width):
-        if all(
-            not g.adjacent(left[i], right[j])
-            for i in range(width)
-            for j in range(i, width)
-        ):
-            return True
-    return False
-
-
 def test_criterion_5_hall_check_equivalence():
     rng = np.random.default_rng(5505)
     mismatches = 0
@@ -133,7 +119,7 @@ def test_criterion_5_hall_check_equivalence():
         assignment = tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
         left = tuple(assignment)
         right = check_hall_and_build_right(build_blocked_index(g, left), n, k)
-        if (right is not None) != _feasible_right_exists(g, k, left):
+        if (right is not None) != feasible_right_exists(g, k, left):
             mismatches += 1
     assert mismatches == 0
     report(5, "marriage-condition check vs brute-force right-layout search, 200 pairs")

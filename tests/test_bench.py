@@ -157,7 +157,7 @@ class TestSolveWithTimeout:
         # k = -1 raises inside the child, and its text comes back
         status, verdict, ns, error = solve_with_timeout(cycle_graph(5), -1, "hall", 10.0, 3)
         assert (status, verdict, ns) == ("error", None, None)
-        assert "k must be nonnegative" in error
+        assert error == repr(ValueError("k must be a nonnegative integer, got -1"))
 
     def test_verdict_that_changes_between_repetitions_is_error(self, monkeypatch):
         # The worker runs in this process, so the fake needs no particular start method.
@@ -165,7 +165,7 @@ class TestSolveWithTimeout:
         monkeypatch.setitem(bench.ALGORITHMS, "flaky", lambda g, k: SimpleNamespace(verdict=next(verdicts)))
         receiver, sender = mp.Pipe(duplex=False)
         g = cycle_graph(5)
-        bench._solve_worker(sender, g.n, g.edges, 2, "flaky", 3)
+        bench._solve_worker(sender, g, 2, "flaky", 3)
         assert receiver.recv() == ("error", None, None, "the verdict changed between repetitions")
         receiver.close()
 

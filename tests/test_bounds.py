@@ -13,7 +13,7 @@ from bandrec.families import (
 )
 from bandrec.generate import generate_affirmative_case
 from bandrec.graph import Graph
-from conftest import all_graphs, bounds_by_definition, random_graph
+from conftest import all_graphs, bounds_by_definition, disjoint_union, random_graph
 
 
 class TestClosedFormFamilies:
@@ -100,15 +100,6 @@ def _wheel(rim: int, hub_first: bool = True) -> Graph:
     return Graph(rim + 1, cycle + spokes)
 
 
-def _union(*parts: Graph) -> Graph:
-    """The disjoint union, each part's ids shifted past the ones before it."""
-    edges, n = [], 0
-    for part in parts:
-        edges += [(u + n, v + n) for u, v in part.edges]
-        n += part.n
-    return Graph(n, edges)
-
-
 class _CountingMasks(tuple):
     """A neighbour-mask tuple that counts its indexed reads."""
 
@@ -188,7 +179,7 @@ class TestWalkStops:
         for g in draws:
             assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
         for a, b in zip(draws, draws[1:]):
-            union = _union(a, b)
+            union = disjoint_union([a, b])
             assert bandwidth_bounds(union) == BandwidthBounds(*bounds_by_definition(union))
 
     def test_layers_filling_early_or_late_match_the_definition(self, rng):
@@ -203,7 +194,7 @@ class TestWalkStops:
             n = int(rng.integers(16, 41))
             k = n - int(rng.integers(2, 4))
             draws.append(generate_affirmative_case(n, k, int(rng.integers(0, 2**31)))[0])
-        unions = [_union(a, b) for a, b in zip(draws[::3], draws[1::3])]
+        unions = [disjoint_union([a, b]) for a, b in zip(draws[::3], draws[1::3])]
         for g in draws + unions:
             assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
 

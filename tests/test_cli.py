@@ -162,6 +162,18 @@ class TestBenchCommand:
         assert "timeout must be a finite positive number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag,value,line",
+        [
+            ("--reps", "2", "error: repetitions must be at least 3, got 2\n"),
+            ("--cases", "0", "error: cases_per_pair must be at least 1, got 0\n"),
+        ],
+    )
+    def test_count_below_its_floor(self, tmp_path, capsys, flag, value, line):
+        assert main(["bench", flag, value, "--output", str(tmp_path / "x.csv"), "--quiet"]) == 2
+        assert capsys.readouterr().err == line
+        assert list(tmp_path.iterdir()) == []
+
     def test_defaults_come_from_bench_config(self, tmp_path, monkeypatch):
         built = []
 

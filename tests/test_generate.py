@@ -83,6 +83,22 @@ def test_non_integer_errors_name_their_input(call, message):
         call()
 
 
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: recognize(path_graph(3), -1), ValueError, "k must be a nonnegative integer, got -1"),
+        (lambda: generate_negative_case(9, 4, -2), ValueError, "seed must be a nonnegative integer, got -2"),
+        (lambda: GenParams(0, 0, 0.4, 0), ValueError, "the node count must be at least 1, got 0"),
+        (lambda: BenchConfig(cases_per_pair=0), BenchConfigError, "cases_per_pair must be at least 1, got 0"),
+        (lambda: BenchConfig(repetitions=2), BenchConfigError, "repetitions must be at least 3, got 2"),
+    ],
+    ids=["k", "seed", "n", "cases_per_pair", "repetitions"],
+)
+def test_floor_errors_name_their_input(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 class TestRandomBandedMatrix:
     def test_zero_width_band_is_edgeless(self):
         assert random_banded_matrix(GenParams(5, 0, 0.5, 3)).m == 0
@@ -354,7 +370,7 @@ class TestCaseRanges:
             else:
                 # A negative k fails coerce_k's check first, as in recognize.
                 if k < 0:
-                    error, match = ValueError, "k must be nonnegative"
+                    error, match = ValueError, f"^k must be a nonnegative integer, got {k}$"
                 else:
                     error, match = OutOfRegimeError if k < (n - 1) // 2 else ValueError, None
                 with pytest.raises(error, match=match):

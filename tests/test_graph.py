@@ -108,8 +108,8 @@ class TestGraphConstruction:
 
 
 class TestFastPaths:
-    """Plain in-range ints skip the id check in Graph and relabeled; every
-    other id must still meet it."""
+    """Plain in-range ints skip the id check in Graph's constructor; every
+    other id must still meet it. relabeled checks every entry."""
 
     def test_mixed_endpoints_stored_as_int(self):
         g = Graph(3, [(np.int64(0), 1), (2, np.uint8(1))])

@@ -46,6 +46,8 @@ from conftest import (
     assert_certified,
     bounds_by_definition,
     constructive_negatives,
+    disjoint_union,
+    feasible_right_exists,
     random_graph,
     regime_ks,
 )
@@ -64,32 +66,6 @@ def graph_k_left(draw, min_n: int = 4, max_n: int = 9):
 
 def random_left(rng, n, k):
     return tuple(int(v) for v in rng.permutation(n)[: n - k - 1])
-
-
-def feasible_right_exists(g, k, left):
-    """Brute-force ground truth: some compatible right assignment passes the
-    direct every-far-pair edge test."""
-    n = g.n
-    width = n - k - 1
-    rest = [v for v in range(n) if v not in left]
-    for right in permutations(rest, width):
-        if all(
-            not g.adjacent(left[i], right[j])
-            for i in range(width)
-            for j in range(i, width)
-        ):
-            return True
-    return False
-
-
-def disjoint_union(pieces, order):
-    """The pieces side by side, node ``i`` of the concatenation renamed ``order[i]``."""
-    edges = []
-    offset = 0
-    for piece in pieces:
-        edges.extend((order[u + offset], order[v + offset]) for u, v in piece.edges)
-        offset += piece.n
-    return Graph(offset, edges)
 
 
 @st.composite
