@@ -1,5 +1,5 @@
 """Allow ``python -m bandrec`` as an alias for the ``bandrec`` script."""
 
-from .cli import main_entry
+from .cli import main
 
-main_entry()
+raise SystemExit(main())

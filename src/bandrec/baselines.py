@@ -22,8 +22,6 @@ from functools import cache
 from itertools import chain, combinations, permutations
 from math import factorial
 
-import numpy as np
-
 from .graph import Graph, Layout
 from .recognition import SEARCH_EXHAUSTED, RecognitionResult, coerce_k, require_regime
 
@@ -83,6 +81,7 @@ def _half_table(n: int) -> np.ndarray:
     # positions in every order, and the block is transposed into its slice
     # of the preallocated table. Only the kept half is ever generated, so the
     # build peaks at about the table's own size (1.6 MB at n = 9).
+    import numpy as np
     size = factorial(n - 2)
     pos = np.empty((n, n * (n - 1) // 2 * size), dtype=np.int8)
     for i, (a, b) in enumerate(combinations(range(n), 2)):
@@ -113,6 +112,7 @@ def exact_bandwidth_bruteforce(g: Graph) -> int:
         )
     if not g.edges:
         return 0
+    import numpy as np
     pos = _half_table(g.n)
     worst = np.zeros(pos.shape[1], dtype=np.int8)
     # One gap buffer for every edge: a fresh temporary per edge is mapped

@@ -30,8 +30,6 @@ import time
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Sequence, TextIO
 
-import numpy as np
-
 from .baselines import naive_recognition
 from .generate import AFFIRMATIVE, GENERATORS, NEGATIVE, GenerationError, check_case
 from .graph import Graph, _integer
@@ -44,8 +42,6 @@ ALGORITHMS: dict[str, Callable[[Graph, int], Any]] = {
     "naive": naive_recognition,
 }
 
-DEFAULT_AFFIRMATIVE_OFFSETS = (-6, -4, -2)
-DEFAULT_NEGATIVE_OFFSETS = (-6, -4)
 GENERATION_RESEEDS = 5
 
 
@@ -80,8 +76,8 @@ CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
 @dataclass(frozen=True)
 class BenchConfig:
     sizes: tuple[int, ...] = (10, 12)
-    affirmative_offsets: tuple[int, ...] = DEFAULT_AFFIRMATIVE_OFFSETS
-    negative_offsets: tuple[int, ...] = DEFAULT_NEGATIVE_OFFSETS
+    affirmative_offsets: tuple[int, ...] = (-6, -4, -2)
+    negative_offsets: tuple[int, ...] = (-6, -4)
     cases_per_pair: int = 5
     timeout_s: float = 10.0
     repetitions: int = 5
@@ -133,6 +129,7 @@ class BenchConfig:
 
 def instance_seed(master: int, kind: str, n: int, k: int, index: int) -> int:
     """Fold a per-instance SeedSequence stream into one recordable 64-bit seed."""
+    import numpy as np
     ss = np.random.SeedSequence(master, spawn_key=(_KIND_CODES[kind], n, k, index))
     hi, lo = ss.generate_state(2, np.uint32)
     return int(hi) << 32 | int(lo)
@@ -147,7 +144,7 @@ def _generate_instance(kind: str, n: int, k: int, seed: int) -> tuple[Graph, int
         except GenerationError:
             # Deterministic reseed: walk the same 64-bit space.
             current = (current + 0x9E3779B97F4A7C15) % 2**64
-    raise GenerationError(f"could not generate a {kind} instance for n={n}, k={k} from seed {seed}")
+    raise GenerationError(f"could not generate the {kind} instance for n={n}, k={k} from seed {seed}")
 
 
 def _solve_worker(conn, g: Graph, k: int, algorithm: str, repetitions: int) -> None:

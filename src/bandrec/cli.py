@@ -174,9 +174,5 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
 
-def main_entry() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

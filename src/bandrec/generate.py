@@ -18,8 +18,9 @@ The two case kinds, the ``k`` range of each (:func:`check_case`) and the
 generator of each (``GENERATORS``) are defined here for the whole package.
 
 All draws come from numpy's seeded default generator (PCG64), so a given
-seed reproduces the same instance on any platform. Entry points that need
-several independent draws derive them from the one seed in a fixed order.
+seed reproduces the same instance on any platform; numpy is imported by the
+functions that draw, so deciding a graph never loads it. Entry points that
+need several independent draws derive them from the one seed in fixed order.
 A seed is read by the package's integer rule with floor 0, the rule that
 also reads ``k`` (:func:`~bandrec.recognition.coerce_k`): a numpy integer
 is taken as a plain int, a ``bool``, a float, ``None`` or a sequence
@@ -35,11 +36,9 @@ import numbers
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
 from .baselines import bandwidth_at_most
 from .bounds import bandwidth_bounds
-from .graph import Graph, _fill, _integer, _remap
+from .graph import Graph, _fill, _integer, _remap, _stretch
 from .recognition import coerce_k, regime_floor, require_regime
 
 AFFIRMATIVE = "affirmative"
@@ -104,6 +103,7 @@ def _band_edges(params: GenParams) -> list[tuple[int, int]]:
     # random_banded_matrix's draw, as the sorted edge list of its graph: each
     # pair (u, v) has u < v, and the patch edges realise distances that no
     # band edge has, so no pair repeats.
+    import numpy as np
     n, psi, p = params.n, params.psi, params.p
     rng = np.random.default_rng(params.seed)
     count = sum(min(psi, n - 1 - u) for u in range(n))
@@ -151,13 +151,15 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
     random relabellings until the identity labelling of the relabelled
     graph is no longer a bandwidth-k witness. Each attempt is scored on the
     drawn edge list, as ``max |r[u] - r[v]|`` over its edges for the
-    relabelling ``r``, and only the accepted relabelling is written, so the
-    case writes one graph and no layout. ``k`` is checked by
+    relabelling ``r``, by the loop that :func:`~bandrec.graph.layout_bandwidth`
+    runs, and only the accepted relabelling is written, so the case writes
+    one graph and no layout. ``k`` is checked by
     :func:`check_case`, then the seed, before any draw. Raises
     :class:`GenerationError` when the scramble budget runs out (callers
     reseed).
     """
     n, k = check_case(AFFIRMATIVE, n, k)
+    import numpy as np
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     # psi = 0 would draw an edgeless graph, which no scramble lifts above
     # k >= 1; it is raised after the draw, so the random stream is unchanged.
@@ -169,11 +171,7 @@ def generate_affirmative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[st
         relabeling = rng.permutation(n).tolist()
         # Drawn node v is node relabeling[v] of the relabelled graph, so this
         # is the bandwidth of that graph's identity labelling.
-        identity_bandwidth = 0
-        for u, v in edges:
-            stretch = abs(relabeling[u] - relabeling[v])
-            if stretch > identity_bandwidth:
-                identity_bandwidth = stretch
+        identity_bandwidth = _stretch(edges, relabeling)
         if identity_bandwidth > k:
             meta = {
                 "kind": AFFIRMATIVE,
@@ -208,6 +206,7 @@ def generate_negative_case(n: int, k: int, seed: int) -> tuple[Graph, dict[str, 
     ``n = 64``. So ``n = 44`` is the sampler's practical ceiling there.
     """
     n, k = check_case(NEGATIVE, n, k)
+    import numpy as np
     rng = np.random.default_rng(_integer(seed, "seed", 0))
     for attempt in range(1, NEGATIVE_SAMPLE_BUDGET + 1):
         psi = int(rng.integers(k + 1, k + 4))

@@ -7,9 +7,10 @@ hand-written ``__init__``s, so they compare, hash, copy and pickle by value.
 One function writes both stored forms of a graph, the sorted edge tuple and
 the per-node bitmasks built from it, and refuses zero nodes. A relabelled
 copy of a valid edge list is written through one shared remap, which both
-:meth:`Graph.relabeled` and the affirmative generator call. Edge queries
-test one bit; breadth-first walks OR a frontier's masks, each with its own
-inlined set-bit loop.
+:meth:`Graph.relabeled` and the affirmative generator call; one stretch loop
+serves :func:`layout_bandwidth` and that generator's scramble scorer. Edge
+queries test one bit; breadth-first walks OR a frontier's masks, each with
+its own inlined set-bit loop.
 """
 
 from __future__ import annotations
@@ -223,9 +224,13 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
     """
     if layout.n != g.n:
         raise ValueError(f"layout size {layout.n} does not match graph size {g.n}")
-    forward = layout.forward
+    return _stretch(g.edges, layout.forward)
+
+
+def _stretch(edges: Iterable[tuple[int, int]], forward: Sequence[int]) -> int:
+    # The largest |forward[u] - forward[v]| over ``edges``; 0 when there are none.
     best = 0
-    for u, v in g.edges:
+    for u, v in edges:
         d = forward[u] - forward[v]
         if d < 0:
             d = -d

@@ -20,7 +20,7 @@ from bandrec.bench import (
     write_records_csv,
 )
 from bandrec.families import complete_graph, cycle_graph
-from bandrec.generate import generate_affirmative_case
+from bandrec.generate import GenerationError, generate_affirmative_case
 
 
 def small_config(**overrides):
@@ -170,6 +170,21 @@ class TestSolveWithTimeout:
         receiver.close()
 
 
+def _silent_worker(conn, *args):
+    # A child that dies before reporting: its end of the pipe closes unsent.
+    conn.close()
+
+
+def test_child_without_a_result_is_error(monkeypatch):
+    monkeypatch.setattr(bench, "_solve_worker", _silent_worker)
+    assert solve_with_timeout(cycle_graph(5), 2, "hall", 10.0, 3) == (
+        "error",
+        None,
+        None,
+        "the solver process exited without a result",
+    )
+
+
 def test_solved_rows_carry_positive_minimum_runtime():
     g, _ = generate_affirmative_case(12, 10, seed=4)
     status, verdict, ns, _error = solve_with_timeout(g, 10, "hall", 10.0, 3)
@@ -241,8 +256,42 @@ class TestRunBench:
         assert all(r.status == "solved" for r in records)
         assert calls == []  # every solve ran in a child process
 
+    def test_generation_failure_reseeds(self, monkeypatch):
+        generate, tried = bench.GENERATORS[AFFIRMATIVE], []
+
+        def fails_once(n, k, seed):
+            tried.append(seed)
+            if len(tried) == 1:
+                raise GenerationError("out of budget")
+            return generate(n, k, seed)
+
+        monkeypatch.setitem(bench.GENERATORS, AFFIRMATIVE, fails_once)
+        (record,) = run_bench(small_config(cases_per_pair=1))
+        first = instance_seed(7, AFFIRMATIVE, 12, 10, 0)
+        assert tried == [first, (first + 0x9E3779B97F4A7C15) % 2**64]
+        assert record.seed == tried[1] and record.status == "solved"
+
+    def test_generation_gives_up_after_the_reseeds(self, monkeypatch):
+        tried = []
+
+        def always_fails(n, k, seed):
+            tried.append(seed)
+            raise GenerationError("out of budget")
+
+        monkeypatch.setitem(bench.GENERATORS, AFFIRMATIVE, always_fails)
+        first = instance_seed(7, AFFIRMATIVE, 12, 10, 0)
+        message = f"^could not generate the affirmative instance for n=12, k=10 from seed {first}$"
+        with pytest.raises(GenerationError, match=message):
+            run_bench(small_config(cases_per_pair=1))
+        assert len(tried) == len(set(tried)) == bench.GENERATION_RESEEDS and tried[0] == first
+
     def test_summary_shape(self):
         records = run_bench(small_config())
         table = summarize(records)
         assert "(12,10)" in table
         assert "solved" in table.splitlines()[0]
+
+
+def test_summary_of_a_cell_with_no_solved_row():
+    record = BenchRecord("aff-n12-k10-i000", 12, 10, AFFIRMATIVE, "hall", 0, "tle")
+    assert summarize([record]).splitlines()[-1].split() == ["(12,10)", AFFIRMATIVE, "hall", "0", "1", "-"]

@@ -327,3 +327,33 @@ def test_console_entry_point_runs():
         text=True,
     )
     assert proc.returncode == 2
+
+
+# Deciding a graph reads no random numbers, so neither the library call nor
+# the recognize and bounds commands may load numpy. Each runs in a fresh
+# interpreter; the commands run through runpy as ``python -m bandrec`` does,
+# so the interpreter can report its modules once the command has exited.
+_DECIDE = """
+import sys
+from bandrec import recognize
+from bandrec.families import cycle_graph
+print(recognize(cycle_graph(5), 2).verdict, "numpy" in sys.modules)
+"""
+_COMMAND = """
+import runpy, sys
+try:
+    runpy.run_module("bandrec", run_name="__main__", alter_sys=True)
+finally:
+    print("numpy" in sys.modules)
+"""
+
+
+def test_deciding_never_loads_numpy(k4_file):
+    proc = subprocess.run([sys.executable, "-c", _DECIDE], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "True False\n")
+    for argv, code, out in (
+        (["recognize", k4_file, "--k", "2"], 1, "verdict=false reason=bounds_cutoff\nFalse\n"),
+        (["bounds", k4_file], 0, "alpha=2\ngamma=3\ncombined=3\nFalse\n"),
+    ):
+        proc = subprocess.run([sys.executable, "-c", _COMMAND, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")

@@ -1,7 +1,6 @@
 import hashlib
 import re
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -172,7 +171,7 @@ class TestAffirmativeCases:
 
     def test_k_n_minus_1_rejected_before_drawing(self, monkeypatch):
         # The identity's bandwidth is at most n-1, so no scramble exceeds it.
-        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        monkeypatch.setattr(np.random, "default_rng", _refuse_to_draw)
         with pytest.raises(ValueError, match=r"\[4, 8\]"):
             generate_affirmative_case(10, 9, 0)
 
@@ -316,6 +315,13 @@ class TestNegativeCases:
         with pytest.raises(ValueError):
             generate_negative_case(12, 3, seed=0)
 
+    def test_budget_exhaustion(self, monkeypatch):
+        # Every draw is called feasible by the oracle, so none is accepted.
+        monkeypatch.setattr(generate, "NEGATIVE_SAMPLE_BUDGET", 2)
+        monkeypatch.setattr(generate, "bandwidth_at_most", lambda g, k: True)
+        with pytest.raises(GenerationError, match="^no negative instance found in 2 attempts$"):
+            generate_negative_case(9, 4, seed=0)
+
 
 def test_set_up_makes_no_subgraph_copy(monkeypatch):
     # The instance set-up perfbench runs: a relabelled affirmative, negatives
@@ -339,8 +345,6 @@ def _refuse_to_draw(seed):
     raise _Drew
 
 
-_NO_DRAWS = SimpleNamespace(random=SimpleNamespace(default_rng=_refuse_to_draw))
-
 # Each kind's k range, written out here rather than read from the package:
 # from floor((n-1)/2), the regime floor (and at least 1 for affirmative: a
 # bandwidth-0 graph is edgeless, so no scramble exceeds k = 0), up to n-2
@@ -361,7 +365,7 @@ def _cells():
 
 class TestCaseRanges:
     def test_generators_check_the_range_before_any_draw(self, monkeypatch):
-        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        monkeypatch.setattr(np.random, "default_rng", _refuse_to_draw)
         for kind, n, k, lo, hi in _cells():
             if lo <= k <= hi:
                 check_case(kind, n, k)
@@ -381,7 +385,7 @@ class TestCaseRanges:
     @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
     @pytest.mark.parametrize("n,k", [(12.0, 8), (12, 8.0), (True, 0), (3, True)])
     def test_float_and_bool_raise_type_error_before_any_draw(self, monkeypatch, kind, n, k):
-        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        monkeypatch.setattr(np.random, "default_rng", _refuse_to_draw)
         with pytest.raises(TypeError):
             check_case(kind, n, k)
         with pytest.raises(TypeError):
@@ -390,7 +394,7 @@ class TestCaseRanges:
     @pytest.mark.parametrize("kind", [AFFIRMATIVE, NEGATIVE])
     @pytest.mark.parametrize("seed,error", BAD_SEEDS)
     def test_bad_seed_raises_before_any_draw(self, monkeypatch, kind, seed, error):
-        monkeypatch.setattr(generate, "np", _NO_DRAWS)
+        monkeypatch.setattr(np.random, "default_rng", _refuse_to_draw)
         with pytest.raises(error):
             GENERATORS[kind](9, 4, seed)
 

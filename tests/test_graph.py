@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bandrec.bounds import BandwidthBounds, bandwidth_bounds
-from bandrec.families import complete_graph, cycle_graph, empty_graph, path_graph
+from bandrec.families import complete_graph, cycle_graph, empty_graph, lollipop_graph, path_graph
 from bandrec.graph import Graph, Layout, connected_components, layout_bandwidth
 from bandrec.recognition import recognize
 from conftest import assert_certified, bounds_by_definition, graphs
@@ -222,6 +222,10 @@ class TestLayout:
             Layout.from_inverse([1, 1, 2])
         assert built == [(2, 0, 3, 1), (1, 1, 2)]
 
+    def test_rejects_no_positions(self):
+        with pytest.raises(ValueError, match="^layout needs at least one node$"):
+            Layout(())
+
     def test_reversed(self):
         layout = Layout([2, 0, 1])
         assert layout.reversed().forward == (0, 2, 1)
@@ -372,3 +376,15 @@ class TestBfsLayers:
         # The definition counts hop distances from a Floyd-Warshall matrix,
         # so it shares nothing with the breadth-first walk under test.
         assert bandwidth_bounds(g) == BandwidthBounds(*bounds_by_definition(g))
+
+
+class TestFamilyGuards:
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_cycle_needs_three_nodes(self, n):
+        with pytest.raises(ValueError, match="^cycle needs at least 3 nodes$"):
+            cycle_graph(n)
+
+    @pytest.mark.parametrize("clique,tail", [(0, 2), (3, -1)])
+    def test_lollipop_needs_a_clique_and_a_tail(self, clique, tail):
+        with pytest.raises(ValueError, match="^lollipop needs a nonempty clique and nonnegative tail$"):
+            lollipop_graph(clique, tail)
