@@ -22,7 +22,6 @@ instances regardless of which cells are selected.
 from __future__ import annotations
 
 import csv
-import math
 import multiprocessing as mp
 import numbers
 import statistics
@@ -43,6 +42,7 @@ ALGORITHMS: dict[str, Callable[[Graph, int], Any]] = {
 }
 
 GENERATION_RESEEDS = 5
+_MAX_TIMEOUT_S = (2**31 - 1) / 1000  # the pipe poll's ceiling on Linux: a C int of milliseconds
 
 
 class BenchConfigError(ValueError):
@@ -100,8 +100,10 @@ class BenchConfig:
                 object.__setattr__(self, name, _integer(getattr(self, name), name, least))
             timeout = self.timeout_s
             # A bool is not a number of seconds; the range test is also false for nan.
-            if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout < math.inf:
-                raise ValueError(f"timeout must be a finite positive number of seconds, got {timeout!r}")
+            if type(timeout) is bool or not isinstance(timeout, numbers.Real) or not 0 < timeout <= _MAX_TIMEOUT_S:
+                raise ValueError(
+                    f"timeout must be a finite positive number of seconds, at most {_MAX_TIMEOUT_S}, got {timeout!r}"
+                )
             chosen = self.algorithms
             # A bare string is one name, not a sequence of one-letter names.
             if isinstance(chosen, str) or not isinstance(chosen, Iterable):

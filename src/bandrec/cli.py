@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: recognize, bounds, bandwidth, gen, bench. Exit codes: 0 for
-success (recognize: verdict true), 1 for a false recognition verdict, 2 for
-any error. gen and bench take their seed from --seed, which defaults to 0.
+success (recognize: verdict true), 1 only for a false recognition verdict,
+2 for any failure, an internal one included, with one ``error:`` line on
+stderr. gen and bench take their seed from --seed, which defaults to 0.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from .baselines import exact_bandwidth_bruteforce
 from .bench import ALGORITHMS, BenchConfig, run_bench, summarize, write_records_csv
 from .bounds import bandwidth_bounds
-from .generate import GENERATORS, GenerationError, GenParams, random_banded_matrix
+from .generate import GENERATORS, GenParams, random_banded_matrix
 from .graph import layout_bandwidth
 from .io import parse_graph_file, write_graph_file
 from .recognition import recognize
@@ -34,19 +35,24 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="bandrec",
         description="Bandwidth recognition for large targets, plus bounds, generators, and benchmarking.",
     )
+    # argparse's usage error names dest when no subcommand is given.
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="decide whether a graph has bandwidth <= k")
+    p.set_defaults(run=_cmd_recognize)
     p.add_argument("graph", help="edge-list graph file")
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("bounds", help="print the lower bounds alpha and gamma")
+    p.set_defaults(run=_cmd_bounds)
     p.add_argument("graph")
 
     p = sub.add_parser("bandwidth", help="exact bandwidth by brute force (n <= 9)")
+    p.set_defaults(run=_cmd_bandwidth)
     p.add_argument("graph")
 
     p = sub.add_parser("gen", help="generate an instance and write it as a graph file")
+    p.set_defaults(run=_cmd_gen)
     p.add_argument("--kind", choices=["banded", *GENERATORS], default="banded")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, help="target bandwidth (affirmative/negative kinds)")
@@ -58,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     # The bench defaults are BenchConfig's own, so they are stated once.
     stock = BenchConfig()
     p = sub.add_parser("bench", help="run the benchmark harness")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--sizes", type=_int_list, default=stock.sizes, help="comma-separated n values")
     p.add_argument("--k-offsets-affirmative", type=_int_list, default=stock.affirmative_offsets, metavar="OFFSETS")
     p.add_argument("--k-offsets-negative", type=_int_list, default=stock.negative_offsets, metavar="OFFSETS")
@@ -153,24 +160,14 @@ def _cmd_bench(args) -> int:
     return EXIT_TRUE
 
 
-_COMMANDS = {
-    "recognize": _cmd_recognize,
-    "bounds": _cmd_bounds,
-    "bandwidth": _cmd_bandwidth,
-    "gen": _cmd_gen,
-    "bench": _cmd_bench,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    # The package's typed input errors (GraphParseError, OutOfRegimeError,
-    # BenchConfigError) are all ValueErrors.
+    # Any failure exits 2, so exit 1 only ever means a false verdict.
     try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, GenerationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        return args.run(args)
+    except Exception as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -83,11 +83,16 @@ class TestConfigValidation:
             dict(algorithms=("hall", "hall")),  # each instance would run twice into one cell
             dict(algorithms="naive"),  # one name, not the letters n, a, i, v, e
             dict(algorithms=(["hall"],)),
+            dict(timeout_s=3e6),  # longer than the pipe poll can wait
         ],
     )
     def test_rejects(self, overrides):
         with pytest.raises(BenchConfigError):
             small_config(**overrides)
+
+    def test_longest_timeout_is_accepted(self):
+        # (2**31 - 1) ms is the longest wait the pipe poll takes on Linux.
+        assert small_config(timeout_s=(2**31 - 1) / 1000).timeout_s == 2147483.647
 
     @pytest.mark.parametrize("overrides", [dict(sizes=()), dict(affirmative_offsets=(), negative_offsets=())])
     def test_no_cells_is_one_rule(self, overrides):

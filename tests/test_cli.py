@@ -54,6 +54,26 @@ class TestRecognizeCommand:
         assert main(["recognize", str(path), "--k", "2"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_internal_error_exits_2_not_1(self, k4_file, monkeypatch, capsys):
+        # Exit 1 means "bandwidth above k", so no failure may end with it.
+        message = "certificate has bandwidth above k=2; this should be unreachable"
+
+        def broken(g, k):
+            raise RuntimeError(message)
+
+        monkeypatch.setattr(cli, "recognize", broken)
+        assert main(["recognize", k4_file, "--k", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_huge_header_exits_2(self, tmp_path):
+        # The node table cannot be allocated, and the allocation fails at once.
+        path = tmp_path / "huge.graph"
+        path.write_text("1000000000000000 0\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bandrec", "recognize", str(path), "--k", "2"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: MemoryError\n")
+
 
 class TestOtherCommands:
     def test_bounds(self, k4_file, capsys):
@@ -154,13 +174,16 @@ class TestBenchCommand:
         assert main(argv) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("timeout", ["nan", "inf"])
+    # 3e6 s is finite but longer than the pipe poll can wait, so it is refused
+    # before any instance is generated.
+    @pytest.mark.parametrize("timeout", ["nan", "inf", "3e6"])
     def test_non_finite_timeout(self, tmp_path, capsys, timeout):
         out = tmp_path / "x.csv"
         argv = ["bench", "--sizes", "10", "--cases", "1", "--timeout", timeout, "--output", str(out), "--quiet"]
         assert main(argv) == 2
-        assert "timeout must be a finite positive number" in capsys.readouterr().err
-        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: timeout must be a finite positive number") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag,value,line",
@@ -218,12 +241,21 @@ class TestBenchCommand:
         assert [path.name for path in tmp_path.iterdir()] == ["old.csv"]
 
     def test_directory_output_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
-        def unreachable(config, progress=None):
-            raise AssertionError("the benchmark ran")
-
-        monkeypatch.setattr(cli, "run_bench", unreachable)
+        runs = []
+        monkeypatch.setattr(cli, "run_bench", lambda config, progress=None: runs.append(config))
         assert main(["bench", "--seed", "1", "--output", str(tmp_path), "--quiet"]) == 2
         assert str(tmp_path) in capsys.readouterr().err
+        assert runs == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_interrupt_propagates_and_leaves_no_file(self, tmp_path, monkeypatch):
+        # Ctrl-C is not a failure of the command: it is not turned into exit 2.
+        def interrupted(config, progress=None):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_bench", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["bench", "--seed", "1", "--output", str(tmp_path / "x.csv"), "--quiet"])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -320,7 +352,7 @@ def test_package_main_runs(k4_file):
     assert proc.returncode == 1
 
 
-def test_console_entry_point_runs():
+def test_cli_module_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "bandrec.cli"],
         capture_output=True,
